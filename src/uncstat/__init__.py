@@ -37,6 +37,7 @@ from .pooling import (
     MergedSample,
     common_test,
     merge,
+    merge_group,
     unify_location,
     unify_scale,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "unify_scale",
     "unify_location",
     "merge",
+    "merge_group",
     "common_test",
     # pipeline
     "PopulationConfig",

@@ -84,7 +84,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stdout.write(document)
         if args.plot_data:
-            emit_plot_data(report, samples, args.plot_data)
+            emit_plot_data(report, args.plot_data)
     except (DataFormatError, ConfigurationError, OSError) as exc:
         print(f"uncstat: error: {exc}", file=sys.stderr)
         return 2

@@ -24,9 +24,11 @@ from .testing import (
     PopulationSample,
     TestDecision,
     acceptance_interval,
-    fit_and_verify,
     test_against_interval,
 )
+# Unused since homogeneity_test takes fits, but bench/spans.py still wraps
+# ``uncstat.multi.fit_and_verify`` by name, so the name stays importable here.
+from .testing import fit_and_verify  # noqa: F401
 from .udist import NormalUncertain, check_level
 
 __all__ = [
@@ -102,15 +104,17 @@ class PairwiseDecision:
 
 @dataclass(frozen=True)
 class HomogeneityResult:
-    """Everything the homogeneity test produced, including subgroup structure."""
+    """Pairwise cross-tests and the homogeneous subgroups they imply."""
 
     case: ParameterCase
     alpha: float
-    fits: Mapping[str, NormalUncertain]
-    self_tests: Mapping[str, TestDecision]
     pairwise: tuple[PairwiseDecision, ...]
-    rejected: bool
     groups: tuple[frozenset[str], ...]
+
+    @property
+    def rejected(self) -> bool:
+        """One heterogeneous pair rejects overall homogeneity."""
+        return not all(p.homogeneous for p in self.pairwise)
 
 
 def ufwer(alphas: Sequence[float]) -> float:
@@ -164,7 +168,7 @@ def pairwise_test(
     """Symmetric cross-test of a pair: i's data against j's fit and vice versa.
 
     The per-population self-tests are not repeated here; they are run once
-    globally by :func:`homogeneity_test` during fitting.
+    per population by :func:`~uncstat.testing.fit_and_verify`.
     """
     return PairwiseDecision(
         i=pop_i.id,
@@ -175,47 +179,34 @@ def pairwise_test(
 
 
 def homogeneity_test(
-    pops: Sequence[PopulationSample],
+    group: Sequence[tuple[PopulationSample, NormalUncertain]],
     case: ParameterCase,
     alpha: float,
 ) -> HomogeneityResult:
     """Test whether the unknown parameters of all populations are equal.
 
-    Fits every population (respecting pinned parameters), self-tests each fit,
-    cross-tests every unordered pair, and reports maximal homogeneous
-    subgroups.  A population that fails its own self-test stays in the
-    pairwise stage; callers should surface the failed self-test as a
-    model-adequacy warning.
+    Takes each population with its fit (pinned parameters respected, as
+    :func:`~uncstat.testing.fit_and_verify` returns it), cross-tests every
+    unordered pair, and reports maximal homogeneous subgroups.  A population
+    that failed its own self-test stays in the pairwise stage; callers
+    should surface the failed self-test as a model-adequacy warning.
     """
-    check_level(alpha)
-    if len(pops) < 2:
+    alpha = check_level(alpha)
+    if len(group) < 2:
         raise ValueError("homogeneity requires at least two populations")
-    ids = [s.id for s in pops]
+    ids = [s.id for s, _ in group]
     if len(set(ids)) != len(ids):
         raise ValueError("population ids must be unique")
-    check_case(case, pops)
-
-    fits: dict[str, NormalUncertain] = {}
-    self_tests: dict[str, TestDecision] = {}
-    for s in pops:
-        fits[s.id], self_tests[s.id] = fit_and_verify(s, alpha)
+    check_case(case, (s for s, _ in group))
 
     pairwise = tuple(
-        pairwise_test(case, a, b, fits[a.id], fits[b.id], alpha)
-        for a, b in combinations(pops, 2)
+        pairwise_test(case, a, b, fit_a, fit_b, alpha)
+        for (a, fit_a), (b, fit_b) in combinations(group, 2)
     )
-    rejected = any(not p.homogeneous for p in pairwise)
-    groups = homogeneous_groups(ids, pairwise)
-    # Component levels are all alpha, so the family-wise level is alpha too.
-    level = ufwer([alpha] * (len(pops) + 2 * len(pairwise)))
+    # Every component test runs at alpha, so by ufwer the family-wise level
+    # is alpha too.
     return HomogeneityResult(
-        case=case,
-        alpha=level,
-        fits=fits,
-        self_tests=self_tests,
-        pairwise=pairwise,
-        rejected=rejected,
-        groups=groups,
+        case=case, alpha=alpha, pairwise=pairwise, groups=homogeneous_groups(ids, pairwise)
     )
 
 

@@ -1,7 +1,7 @@
 """End-to-end pipeline: ingest data and configuration, fit and self-verify
 every population, test homogeneity, discover homogeneous groups, and run the
 pooled test on a selected group.  Reports serialize to a stable, versioned
-structure and render as plain-text tables.
+structure that stores each fact once, and render as plain-text tables.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from .multi import (
     cross_interval,
     homogeneity_test,
 )
-from .pooling import CommonCase, CommonTestResult, MergedSample, common_test
+from .pooling import CommonCase, CommonTestResult, common_test, merge_group
 from .testing import (
     AcceptanceInterval,
     PopulationSample,
     TestDecision,
+    acceptance_interval,
     fit_and_verify,
 )
 from .udist import NormalUncertain, check_level
@@ -50,7 +51,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MODES = ("pipeline", "fit", "homogeneity", "common")
 
 _AUTO_COMMON = {
@@ -193,7 +194,7 @@ def config_to_dict(config: RunConfig) -> dict[str, Any]:
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file into a validated :class:`RunConfig`."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -217,7 +218,7 @@ def ingest(
     """
     config = load_config(config_path) if config_path is not None else RunConfig()
 
-    text = Path(data_path).read_text(encoding="utf-8")
+    text = Path(data_path).read_text(encoding="utf-8-sig")
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise DataFormatError("data file is empty")
@@ -306,12 +307,15 @@ class RunReport:
     mode: str
     config: RunConfig
     case: ParameterCase
-    alpha: float
     populations: tuple[PopulationReport, ...]
     homogeneity: HomogeneityResult | None
     selected_group: tuple[str, ...] | None
     common: CommonTestResult | None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def alpha(self) -> float:
+        return self.config.alpha
 
     def population(self, pid: str) -> PopulationReport:
         for entry in self.populations:
@@ -347,24 +351,21 @@ def run_pipeline(
         raise ConfigurationError("population ids must be unique")
 
     warnings: list[str] = []
-    fits: dict[str, NormalUncertain] = {}
-    self_tests: dict[str, TestDecision] = {}
+    populations = []
     for s in samples:
-        fits[s.id], self_tests[s.id] = fit_and_verify(s, alpha)
-    for s in samples:
-        if self_tests[s.id].rejected:
+        fit, self_test = fit_and_verify(s, alpha)
+        populations.append(PopulationReport(sample=s, fit=fit, self_test=self_test))
+        if self_test.rejected:
             warnings.append(
                 f"population {s.id}: self-test rejected its own moment fit; "
                 "the data may not follow a normal uncertainty distribution"
             )
-    populations = tuple(
-        PopulationReport(sample=s, fit=fits[s.id], self_test=self_tests[s.id]) for s in samples
-    )
+    fitted = [(p.sample, p.fit) for p in populations]
 
     homogeneity: HomogeneityResult | None = None
     if mode in ("pipeline", "homogeneity"):
         if len(samples) >= 2:
-            homogeneity = homogeneity_test(samples, case, alpha)
+            homogeneity = homogeneity_test(fitted, case, alpha)
         else:
             warnings.append("only one population: homogeneity test skipped")
 
@@ -378,7 +379,7 @@ def run_pipeline(
                 "test reduces to its self-consistency check"
             )
         common_case = config.common_case if config.common_case is not None else _AUTO_COMMON[case]
-        group = [(s, fits[s.id]) for s in samples if s.id in set(selected)]
+        group = [(s, fit) for s, fit in fitted if s.id in set(selected)]
         common = common_test(common_case, group, alpha, theta0=config.theta0_override)
         warnings.extend(common.diagnostics)
 
@@ -386,8 +387,7 @@ def run_pipeline(
         mode=mode,
         config=config,
         case=case,
-        alpha=alpha,
-        populations=populations,
+        populations=tuple(populations),
         homogeneity=homogeneity,
         selected_group=selected,
         common=common,
@@ -433,73 +433,56 @@ def _select_group(
 # serialisation
 
 
-def _interval_to_dict(iv: AcceptanceInterval) -> dict[str, Any]:
-    return {
-        "lower": iv.lower,
-        "upper": iv.upper,
-        "alpha": iv.alpha,
-        "source_e": iv.source_e,
-        "source_sigma": iv.source_sigma,
-    }
+def _fit_to_dict(d: NormalUncertain) -> dict[str, float]:
+    return {"e": d.e, "sigma": d.sigma}
 
 
-def _interval_from_dict(obj: dict[str, Any]) -> AcceptanceInterval:
-    return AcceptanceInterval(
-        lower=obj["lower"],
-        upper=obj["upper"],
-        alpha=obj["alpha"],
-        source_e=obj["source_e"],
-        source_sigma=obj["source_sigma"],
-    )
+def _fit_from_dict(obj: dict[str, Any]) -> NormalUncertain:
+    return NormalUncertain(obj["e"], obj["sigma"])
 
 
-def _decision_to_dict(d: TestDecision) -> dict[str, Any]:
-    return {
-        "interval": _interval_to_dict(d.interval),
-        "outlier_indices": list(d.outlier_indices),
-        "outlier_count": d.outlier_count,
-        "threshold": d.threshold,
-        "sample_size": d.sample_size,
-        "rejected": d.rejected,
-    }
-
-
-def _decision_from_dict(obj: dict[str, Any]) -> TestDecision:
-    return TestDecision(
-        interval=_interval_from_dict(obj["interval"]),
-        outlier_indices=tuple(obj["outlier_indices"]),
-        threshold=obj["threshold"],
-        sample_size=obj["sample_size"],
-        rejected=obj["rejected"],
-    )
+def _decision_from(interval: AcceptanceInterval, raw: Any, m: int) -> TestDecision:
+    """Rebuild a decision from its band and the outlier positions on record."""
+    indices = tuple(raw)
+    if indices and not (
+        all(type(p) is int for p in indices)
+        and 1 <= indices[0]
+        and indices[-1] <= m
+        and all(a < b for a, b in zip(indices, indices[1:]))
+    ):
+        raise ValueError(f"outlier positions must ascend within 1..{m}")
+    return TestDecision(interval, indices, m)
 
 
 def report_to_dict(report: RunReport) -> dict[str, Any]:
-    """Stable, versioned tree mirroring :class:`RunReport` exactly."""
+    """Versioned tree holding each fact of :class:`RunReport` once.
+
+    Bands, thresholds, verdicts, sizes and the merged sample are left out:
+    :func:`report_from_dict` derives them again from the data, the fits and
+    the level.  Discovered groups are kept, since enumerating them again has
+    no bound.
+    """
     populations = [
         {
             "id": p.sample.id,
-            "size": p.sample.size,
             "known_e": p.sample.known_e,
             "known_sigma": p.sample.known_sigma,
             "values": list(p.sample.values),
-            "fit": {"e": p.fit.e, "sigma": p.fit.sigma},
-            "self_test": _decision_to_dict(p.self_test),
+            "fit": _fit_to_dict(p.fit),
+            "self_test_outliers": list(p.self_test.outlier_indices),
         }
         for p in report.populations
     ]
     homogeneity = None
     if report.homogeneity is not None:
         homogeneity = {
-            "rejected": report.homogeneity.rejected,
             "pairwise": [
-                {
-                    "i": p.i,
-                    "j": p.j,
-                    "homogeneous": p.homogeneous,
-                    "i_vs_j": _decision_to_dict(p.decision_i_vs_j),
-                    "j_vs_i": _decision_to_dict(p.decision_j_vs_i),
-                }
+                [
+                    p.i,
+                    p.j,
+                    list(p.decision_i_vs_j.outlier_indices),
+                    list(p.decision_j_vs_i.outlier_indices),
+                ]
                 for p in report.homogeneity.pairwise
             ],
             "groups": [sorted(g) for g in report.homogeneity.groups],
@@ -508,16 +491,13 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
     if report.common is not None:
         common = {
             "case": report.common.case.value,
-            "theta0": {"e": report.common.theta0.e, "sigma": report.common.theta0.sigma},
-            "decision": _decision_to_dict(report.common.decision),
-            "merged_values": list(report.common.merged.values),
-            "merged_origins": [[pid, idx] for pid, idx in report.common.merged.origins],
+            "theta0": _fit_to_dict(report.common.theta0),
+            "outliers": list(report.common.decision.outlier_indices),
             "diagnostics": list(report.common.diagnostics),
         }
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": report.mode,
-        "alpha": report.alpha,
         "case": report.case.value,
         "config": config_to_dict(report.config),
         "populations": populations,
@@ -528,18 +508,30 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
     }
 
 
-def report_from_dict(obj: dict[str, Any]) -> RunReport:
-    """Inverse of :func:`report_to_dict`; rejects unknown schema versions."""
+def report_from_dict(obj: Any) -> RunReport:
+    """Inverse of :func:`report_to_dict`.
+
+    Raises :class:`DataFormatError` for any other schema version and for any
+    document that does not describe a valid report.
+    """
+    if not isinstance(obj, dict):
+        raise DataFormatError("report root must be a key/value mapping")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise DataFormatError(
             f"unsupported report schema version {obj.get('schema_version')!r}; "
             f"this build reads version {SCHEMA_VERSION}"
         )
+    try:
+        return _report_from_dict(obj)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFormatError(f"malformed report: {type(exc).__name__}: {exc}") from None
+
+
+def _report_from_dict(obj: dict[str, Any]) -> RunReport:
     config = config_from_dict(obj["config"])
     case = ParameterCase(obj["case"])
+    alpha = config.alpha
     populations = []
-    fits: dict[str, NormalUncertain] = {}
-    self_tests: dict[str, TestDecision] = {}
     for entry in obj["populations"]:
         sample = PopulationSample(
             id=entry["id"],
@@ -547,45 +539,46 @@ def report_from_dict(obj: dict[str, Any]) -> RunReport:
             known_e=entry["known_e"],
             known_sigma=entry["known_sigma"],
         )
-        fit = NormalUncertain(entry["fit"]["e"], entry["fit"]["sigma"])
-        decision = _decision_from_dict(entry["self_test"])
-        populations.append(PopulationReport(sample=sample, fit=fit, self_test=decision))
-        fits[sample.id] = fit
-        self_tests[sample.id] = decision
+        fit = _fit_from_dict(entry["fit"])
+        self_test = _decision_from(
+            acceptance_interval(fit, alpha), entry["self_test_outliers"], sample.size
+        )
+        populations.append(PopulationReport(sample=sample, fit=fit, self_test=self_test))
+    by_id = {p.sample.id: p for p in populations}
+
+    def cross(data: str, source: str, raw: Any) -> TestDecision:
+        sample = by_id[data].sample
+        band = cross_interval(case, sample, by_id[source].fit, alpha)
+        return _decision_from(band, raw, sample.size)
 
     homogeneity = None
     if obj["homogeneity"] is not None:
         raw = obj["homogeneity"]
         pairwise = tuple(
-            PairwiseDecision(
-                i=p["i"],
-                j=p["j"],
-                decision_i_vs_j=_decision_from_dict(p["i_vs_j"]),
-                decision_j_vs_i=_decision_from_dict(p["j_vs_i"]),
-            )
-            for p in raw["pairwise"]
+            PairwiseDecision(i, j, cross(i, j, i_vs_j), cross(j, i, j_vs_i))
+            for i, j, i_vs_j, j_vs_i in raw["pairwise"]
         )
         homogeneity = HomogeneityResult(
             case=case,
-            alpha=obj["alpha"],
-            fits=fits,
-            self_tests=self_tests,
+            alpha=alpha,
             pairwise=pairwise,
-            rejected=raw["rejected"],
             groups=tuple(frozenset(g) for g in raw["groups"]),
         )
 
+    selected = None if obj["selected_group"] is None else tuple(obj["selected_group"])
+    if selected is not None and list(selected) != [i for i in by_id if i in selected]:
+        raise ValueError("selected group must name distinct populations in report order")
     common = None
     if obj["common_test"] is not None:
         raw = obj["common_test"]
+        common_case = CommonCase(raw["case"])
+        theta0 = _fit_from_dict(raw["theta0"])
+        merged = merge_group(common_case, [(by_id[i].sample, by_id[i].fit) for i in selected])
         common = CommonTestResult(
-            case=CommonCase(raw["case"]),
-            theta0=NormalUncertain(raw["theta0"]["e"], raw["theta0"]["sigma"]),
-            decision=_decision_from_dict(raw["decision"]),
-            merged=MergedSample(
-                values=tuple(raw["merged_values"]),
-                origins=tuple((pid, idx) for pid, idx in raw["merged_origins"]),
-            ),
+            case=common_case,
+            theta0=theta0,
+            decision=_decision_from(acceptance_interval(theta0, alpha), raw["outliers"], merged.n),
+            merged=merged,
             diagnostics=tuple(raw["diagnostics"]),
         )
 
@@ -593,10 +586,9 @@ def report_from_dict(obj: dict[str, Any]) -> RunReport:
         mode=obj["mode"],
         config=config,
         case=case,
-        alpha=obj["alpha"],
         populations=tuple(populations),
         homogeneity=homogeneity,
-        selected_group=None if obj["selected_group"] is None else tuple(obj["selected_group"]),
+        selected_group=selected,
         common=common,
         warnings=tuple(obj["warnings"]),
     )
@@ -728,7 +720,7 @@ def emit_report(report: RunReport, format: str = "text") -> str:
     if format == "text":
         return _render_text(report)
     if format == "structured":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
+        return json.dumps(report_to_dict(report), separators=(",", ":")) + "\n"
     raise ValueError(f"format must be 'text' or 'structured', got {format!r}")
 
 
@@ -752,32 +744,21 @@ def export_data(report: RunReport) -> str:
     return out.getvalue()
 
 
-def emit_plot_data(
-    report: RunReport,
-    samples: Sequence[PopulationSample],
-    out_path: str | Path,
-) -> None:
+def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
     """Write long-format rows for external plotting: every data point against
     every parameter source of the homogeneity matrix, with its band and flag.
     """
-    by_id = {s.id: s for s in samples}
-    report_ids = [p.sample.id for p in report.populations]
-    if sorted(by_id) != sorted(report_ids):
-        raise ValueError("samples do not match the report's populations")
-    fits = {p.sample.id: p.fit for p in report.populations}
-
     rows: list[list[Any]] = []
-    for i in report_ids:
-        sample = by_id[i]
-        for j in report_ids:
-            band = cross_interval(report.case, sample, fits[j], report.alpha)
-            for idx, value in enumerate(sample.values, start=1):
+    for data in report.populations:
+        for source in report.populations:
+            band = cross_interval(report.case, data.sample, source.fit, report.alpha)
+            for idx, value in enumerate(data.sample.values, start=1):
                 rows.append(
                     [
-                        i,
+                        data.sample.id,
                         idx,
                         repr(value),
-                        j,
+                        source.sample.id,
                         repr(band.lower),
                         repr(band.upper),
                         "true" if (value < band.lower or value > band.upper) else "false",

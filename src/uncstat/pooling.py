@@ -25,6 +25,7 @@ __all__ = [
     "unify_scale",
     "unify_location",
     "merge",
+    "merge_group",
     "common_test",
 ]
 
@@ -108,6 +109,18 @@ def merge(parts: Sequence[tuple[str, Sequence[float]]]) -> MergedSample:
     return MergedSample(tuple(values), tuple(origins))
 
 
+def merge_group(
+    case: CommonCase, group: Sequence[tuple[PopulationSample, NormalUncertain]]
+) -> MergedSample:
+    """Adjust each population with its own fitted (or pinned) parameters for
+    the pooled ``case`` and merge the adjusted data in group order."""
+    if case is CommonCase.MEAN:
+        return merge([(s.id, unify_scale(s.values, f.e, f.sigma)) for s, f in group])
+    if case is CommonCase.SIGMA:
+        return merge([(s.id, unify_location(s.values, f.e)) for s, f in group])
+    return merge([(s.id, s.values) for s, _ in group])
+
+
 def common_test(
     case: CommonCase,
     group: Sequence[tuple[PopulationSample, NormalUncertain]],
@@ -116,10 +129,9 @@ def common_test(
 ) -> CommonTestResult:
     """Pooled test that the group's shared unknown parameter equals a constant.
 
-    Each population is adjusted with its own fitted (or pinned) parameters,
-    the adjusted data is merged in group order, and the merged sample is
-    tested against ``theta0``.  By default ``theta0`` is estimated from the
-    merged data itself, making the test a self-consistency check:
+    The group is adjusted and merged by :func:`merge_group`, and the merged
+    sample is tested against ``theta0``.  By default ``theta0`` is estimated
+    from the merged data itself, making the test a self-consistency check:
 
     * ``MEAN``  -- spreads unified to 1; reference ``(merged mean, 1)``.
     * ``SIGMA`` -- locations unified to 0; reference ``(0, rms of merged)``,
@@ -136,13 +148,10 @@ def common_test(
         raise ValueError("cannot run a pooled test on an empty group")
     diagnostics: list[str] = []
 
+    merged = merge_group(case, group)
     if case is CommonCase.MEAN:
-        parts = [(s.id, unify_scale(s.values, f.e, f.sigma)) for s, f in group]
-        merged = merge(parts)
         fitted = fit_moments(merged.values, known_sigma=1.0)
     elif case is CommonCase.SIGMA:
-        parts = [(s.id, unify_location(s.values, f.e)) for s, f in group]
-        merged = merge(parts)
         fitted = fit_moments(merged.values, known_e=0.0)
         drift = math.fsum(merged.values) / merged.n
         if abs(drift) > _DRIFT_TOL * fitted.sigma:
@@ -151,7 +160,6 @@ def common_test(
                 "estimate is taken about 0, not about the merged mean"
             )
     else:
-        merged = merge([(s.id, s.values) for s, _ in group])
         fitted = fit_moments(merged.values)
 
     reference = theta0 if theta0 is not None else fitted

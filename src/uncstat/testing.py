@@ -10,9 +10,9 @@ hypothesised distribution.  The null is rejected when strictly more than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .udist import NormalUncertain, check_level, fit_moments, quantile, std_quantile
+from .udist import NormalUncertain, check_level, fit_moments, quantile
 
 __all__ = [
     "PopulationSample",
@@ -25,8 +25,6 @@ __all__ = [
     "single_test",
     "fit_and_verify",
 ]
-
-_ENDPOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,23 +56,29 @@ class PopulationSample:
 
 @dataclass(frozen=True)
 class AcceptanceInterval:
-    """Per-point acceptance band ``[lower, upper]`` with its parameter source."""
+    """Per-point acceptance band ``[lower, upper]`` of the distribution
+    ``(source_e, source_sigma)`` at level ``alpha``.
 
-    lower: float
-    upper: float
-    alpha: float
+    The endpoints are the quantiles at ``alpha/2`` and ``1 - alpha/2``,
+    computed once here; they are plain attributes because outlier counting
+    reads them for every observation.
+    """
+
     source_e: float
     source_sigma: float
+    alpha: float
+    lower: float = field(init=False)
+    upper: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_level(self.alpha)
-        if not self.lower < self.upper:
-            raise ValueError(f"empty interval: [{self.lower!r}, {self.upper!r}]")
-        lo = self.source_e + self.source_sigma * std_quantile(self.alpha / 2.0)
-        hi = self.source_e + self.source_sigma * std_quantile(1.0 - self.alpha / 2.0)
-        scale = max(1.0, abs(lo), abs(hi))
-        if abs(lo - self.lower) > _ENDPOINT_TOL * scale or abs(hi - self.upper) > _ENDPOINT_TOL * scale:
-            raise ValueError("interval endpoints are inconsistent with their source parameters")
+        source = NormalUncertain(self.source_e, self.source_sigma)
+        lower = quantile(source, self.alpha / 2.0)
+        upper = quantile(source, 1.0 - self.alpha / 2.0)
+        if not lower < upper:
+            raise ValueError(f"empty interval: [{lower!r}, {upper!r}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def contains(self, z: float) -> bool:
         """Boundary values count as inside: the defining inequalities are strict."""
@@ -83,19 +87,19 @@ class AcceptanceInterval:
 
 @dataclass(frozen=True)
 class TestDecision:
-    """Outcome of checking one data vector against one acceptance interval."""
+    """Outcome of checking ``sample_size`` observations against one acceptance
+    interval; the threshold and verdict follow from the outlier positions."""
 
     interval: AcceptanceInterval
     outlier_indices: tuple[int, ...]
-    threshold: int
     sample_size: int
-    rejected: bool
+    threshold: int = field(init=False)
+    rejected: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.threshold < 1 or self.sample_size < 1:
-            raise ValueError("threshold and sample size must be positive")
-        if self.rejected != (len(self.outlier_indices) >= self.threshold):
-            raise ValueError("verdict is inconsistent with outlier count and threshold")
+        threshold = rejection_threshold(self.sample_size, self.interval.alpha)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "rejected", len(self.outlier_indices) >= threshold)
 
     @property
     def outlier_count(self) -> int:
@@ -108,14 +112,7 @@ class TestDecision:
 
 def acceptance_interval(d: NormalUncertain, alpha: float) -> AcceptanceInterval:
     """Acceptance band of ``d`` at level ``alpha``."""
-    check_level(alpha)
-    return AcceptanceInterval(
-        lower=quantile(d, alpha / 2.0),
-        upper=quantile(d, 1.0 - alpha / 2.0),
-        alpha=alpha,
-        source_e=d.e,
-        source_sigma=d.sigma,
-    )
+    return AcceptanceInterval(d.e, d.sigma, alpha)
 
 
 def count_outliers(sample: PopulationSample, interval: AcceptanceInterval) -> tuple[int, ...]:
@@ -146,15 +143,7 @@ def rejection_threshold(m: int, alpha: float) -> int:
 
 def test_against_interval(sample: PopulationSample, interval: AcceptanceInterval) -> TestDecision:
     """Decide the test of ``sample`` against an already-built acceptance band."""
-    outliers = count_outliers(sample, interval)
-    threshold = rejection_threshold(sample.size, interval.alpha)
-    return TestDecision(
-        interval=interval,
-        outlier_indices=outliers,
-        threshold=threshold,
-        sample_size=sample.size,
-        rejected=len(outliers) >= threshold,
-    )
+    return TestDecision(interval, count_outliers(sample, interval), sample.size)
 
 
 def single_test(sample: PopulationSample, d0: NormalUncertain, alpha: float) -> TestDecision:

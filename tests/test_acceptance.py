@@ -272,10 +272,11 @@ def test_criterion_8_property_suites():
             assert fwd.homogeneous == rev.homogeneous
             assert fwd.decision_i_vs_j == rev.decision_j_vs_i
 
-            base = homogeneity_test(pops, ParameterCase.BOTH_UNKNOWN, 0.05)
+            group = lambda order: [(p, fits[p.id]) for p in order]
+            base = homogeneity_test(group(pops), ParameterCase.BOTH_UNKNOWN, 0.05)
             shuffled_pops = pops[:]
             rng.shuffle(shuffled_pops)
-            shuffled = homogeneity_test(shuffled_pops, ParameterCase.BOTH_UNKNOWN, 0.05)
+            shuffled = homogeneity_test(group(shuffled_pops), ParameterCase.BOTH_UNKNOWN, 0.05)
             assert shuffled.rejected == base.rejected
             assert shuffled.groups == base.groups
 

@@ -13,6 +13,7 @@ from uncstat import (
     TestDecision,
     acceptance_interval,
     cross_interval,
+    fit_and_verify,
     fit_moments,
     homogeneity_test,
     homogeneous_groups,
@@ -34,17 +35,21 @@ def make_pairwise(i, j, homogeneous):
 
     def decision(rejected):
         interval = acceptance_interval(NormalUncertain(0.0, 1.0), 0.05)
+        # threshold at alpha 0.05 and 10 points is 1, so one outlier rejects
         return TestDecision(
             interval=interval,
             outlier_indices=(1,) if rejected else (),
-            threshold=1,
             sample_size=10,
-            rejected=rejected,
         )
 
     return PairwiseDecision(
         i=i, j=j, decision_i_vs_j=decision(not homogeneous), decision_j_vs_i=decision(False)
     )
+
+
+def fitted(samples, alpha=0.05):
+    """(sample, fit) pairs as the pipeline passes them to homogeneity_test."""
+    return [(s, fit_and_verify(s, alpha)[0]) for s in samples]
 
 
 def brute_force_maximal_cliques(ids, edges):
@@ -161,43 +166,45 @@ class TestPairwiseTest:
 class TestHomogeneityTest:
     def test_example1(self, example1):
         samples, _ = example1
-        result = homogeneity_test(samples, ParameterCase.SIGMAS_UNKNOWN, 0.05)
+        group = fitted(samples)
+        result = homogeneity_test(group, ParameterCase.SIGMAS_UNKNOWN, 0.05)
         assert result.alpha == 0.05
-        sigmas = [result.fits[i].sigma for i in ("1", "2", "3")]
+        sigmas = [fit.sigma for _, fit in group]
         assert sigmas == pytest.approx([1.420, 1.348, 1.434], abs=5e-3)
         assert not result.rejected
         assert result.groups == (frozenset({"1", "2", "3"}),)
 
     def test_example2(self, example2):
         samples, _ = example2
-        result = homogeneity_test(samples, ParameterCase.MEANS_UNKNOWN, 0.05)
-        means = [result.fits[i].e for i in ("1", "2", "3")]
+        group = fitted(samples)
+        result = homogeneity_test(group, ParameterCase.MEANS_UNKNOWN, 0.05)
+        means = [fit.e for _, fit in group]
         assert means == pytest.approx([4.948, 5.251, 5.082], abs=2e-3)
         assert result.rejected
         assert frozenset({"2", "3"}) in result.groups
 
     def test_field_study(self, toothmarks):
         samples, _ = toothmarks
-        result = homogeneity_test(samples, ParameterCase.BOTH_UNKNOWN, 0.05)
+        result = homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
         assert result.rejected
         assert result.groups == (
             frozenset({"3", "4", "5", "6"}),
             frozenset({"1"}),
             frozenset({"2"}),
         )
-        assert all(not d.rejected for d in result.self_tests.values())
+        assert all(not fit_and_verify(s, 0.05)[1].rejected for s in samples)
 
     def test_requires_two_populations(self, toothmarks):
         samples, _ = toothmarks
         with pytest.raises(ValueError):
-            homogeneity_test(samples[:1], ParameterCase.BOTH_UNKNOWN, 0.05)
+            homogeneity_test(fitted(samples[:1]), ParameterCase.BOTH_UNKNOWN, 0.05)
 
     def test_rejects_mismatched_case(self, example1):
         samples, _ = example1  # locations pinned
         with pytest.raises(ConfigurationError):
-            homogeneity_test(samples, ParameterCase.MEANS_UNKNOWN, 0.05)
+            homogeneity_test(fitted(samples), ParameterCase.MEANS_UNKNOWN, 0.05)
         with pytest.raises(ConfigurationError):
-            homogeneity_test(samples, ParameterCase.BOTH_UNKNOWN, 0.05)
+            homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -208,16 +215,16 @@ class TestHomogeneityTest:
             vals = data.draw(grid_values(min_size=4))
             pops.append(PopulationSample(f"p{k + 1}", vals))
         perm = data.draw(st.permutations(range(n)))
-        base = homogeneity_test(pops, ParameterCase.BOTH_UNKNOWN, 0.05)
-        shuffled = homogeneity_test([pops[k] for k in perm], ParameterCase.BOTH_UNKNOWN, 0.05)
+        group = fitted(pops)
+        base = homogeneity_test(group, ParameterCase.BOTH_UNKNOWN, 0.05)
+        shuffled = homogeneity_test([group[k] for k in perm], ParameterCase.BOTH_UNKNOWN, 0.05)
 
         assert base.rejected == shuffled.rejected
         assert base.groups == shuffled.groups
-        assert base.fits == shuffled.fits
         verdict = lambda r: {frozenset((p.i, p.j)): p.homogeneous for p in r.pairwise}
         assert verdict(base) == verdict(shuffled)
         # with all self-tests passing, rejection and grouping must agree
-        if all(not d.rejected for d in base.self_tests.values()):
+        if all(not fit_and_verify(p, 0.05)[1].rejected for p in pops):
             whole = (frozenset(p.id for p in pops),)
             assert base.rejected == (base.groups != whole)
 

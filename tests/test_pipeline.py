@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uncstat as u
 from uncstat import (
@@ -13,7 +15,7 @@ from uncstat import (
     PopulationSample,
     RunConfig,
 )
-from uncstat.pipeline import _fmt3, config_from_dict, config_to_dict
+from uncstat.pipeline import MODES, _fmt3, config_from_dict, config_to_dict
 
 
 def write(tmp_path, name, text):
@@ -137,6 +139,14 @@ class TestIngest:
         assert samples[0].known_e == 0.5
         assert samples[1].known_e is None
 
+    def test_byte_order_mark_is_accepted(self, toothmarks, tmp_path):
+        paths = []
+        for original in u.dataset_paths("toothmarks"):
+            path = tmp_path / original.name
+            path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+            paths.append(path)
+        assert u.ingest(*paths) == toothmarks
+
     def test_values_kept_in_file_order(self, tmp_path):
         data = write(tmp_path, "d.csv", "population,value\nx,3.0\ny,1.0\nx,2.0\n")
         samples, _ = u.ingest(data)
@@ -242,6 +252,18 @@ class TestRunPipeline:
         report = u.run_pipeline(samples, config)
         assert report.common.theta0 == override
 
+    def test_each_population_is_fitted_once(self, toothmarks, monkeypatch):
+        calls = []
+
+        def counted(sample, alpha):
+            calls.append(sample.id)
+            return u.fit_and_verify(sample, alpha)
+
+        monkeypatch.setattr(u.pipeline, "fit_and_verify", counted)
+        samples, config = toothmarks
+        u.run_pipeline(samples, config)
+        assert calls == [s.id for s in samples]
+
     def test_self_test_failure_warns_but_keeps_population(self):
         # two extreme points inflate the fitted scale yet still fall outside
         # their own band, so the self-test rejects its own fit
@@ -276,10 +298,91 @@ class TestReportSerialisation:
 
     def test_schema_version_is_checked(self, toothmarks_report):
         obj = json.loads(u.emit_report(toothmarks_report, "structured"))
-        assert obj["schema_version"] == 1
-        obj["schema_version"] = 99
-        with pytest.raises(DataFormatError, match="schema"):
+        assert obj["schema_version"] == 2
+        for version in (1, 99):
+            obj["schema_version"] = version
+            with pytest.raises(DataFormatError, match="schema"):
+                u.parse_report(json.dumps(obj))
+
+    def test_document_holds_no_derived_values(self, toothmarks_report):
+        document = u.emit_report(toothmarks_report, "structured")
+        assert ", " not in document and ": " not in document
+        obj = json.loads(document)
+        assert list(obj) == [
+            "schema_version", "mode", "case", "config", "populations",
+            "homogeneity", "selected_group", "common_test", "warnings",
+        ]
+        assert list(obj["populations"][0]) == [
+            "id", "known_e", "known_sigma", "values", "fit", "self_test_outliers",
+        ]
+        assert list(obj["homogeneity"]) == ["pairwise", "groups"]
+        assert obj["homogeneity"]["pairwise"][0] == ["1", "2", [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7]]
+        assert list(obj["common_test"]) == ["case", "theta0", "outliers", "diagnostics"]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda obj: {k: v for k, v in obj.items() if k != "populations"},
+            lambda obj: [obj],
+            lambda obj: {**obj, "homogeneity": {**obj["homogeneity"], "pairwise": [7]}},
+            lambda obj: {
+                **obj,
+                "populations": [{**obj["populations"][0], "fit": {"e": 2.0, "sigma": -1}}]
+                + obj["populations"][1:],
+            },
+            lambda obj: {**obj, "selected_group": ["3", "3", "4"]},
+            lambda obj: {**obj, "common_test": {**obj["common_test"], "outliers": [99]}},
+        ],
+        ids=[
+            "missing-populations",
+            "list-root",
+            "integer-pairwise-entry",
+            "negative-scale",
+            "repeated-selected-population",
+            "outlier-position-out-of-range",
+        ],
+    )
+    def test_malformed_document(self, toothmarks_report, corrupt):
+        obj = corrupt(json.loads(u.emit_report(toothmarks_report, "structured")))
+        with pytest.raises(DataFormatError):
             u.parse_report(json.dumps(obj))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_round_trip_property(self, case, mode, data):
+        pinned = {
+            ParameterCase.MEANS_UNKNOWN: lambda k: {"known_sigma": 0.5 + k / 4},
+            ParameterCase.SIGMAS_UNKNOWN: lambda k: {"known_e": k / 2},
+            ParameterCase.BOTH_UNKNOWN: lambda k: {},
+        }[case]
+        values = st.lists(st.integers(-5000, 5000), min_size=2, max_size=15, unique=True)
+        samples = [
+            PopulationSample(f"p{k}", tuple(x / 1000 for x in data.draw(values)), **pinned(k))
+            for k in range(data.draw(st.integers(1, 4)))
+        ]
+        group = tuple(s.id for s in samples if data.draw(st.booleans())) or (samples[0].id,)
+        theta0 = data.draw(
+            st.none()
+            | st.builds(
+                NormalUncertain,
+                st.integers(-3000, 3000).map(lambda x: x / 1000),
+                st.integers(100, 3000).map(lambda x: x / 1000),
+            )
+        )
+        config = RunConfig(
+            alpha=data.draw(st.sampled_from([0.01, 0.05, 0.1, 0.3])),
+            case=case,
+            group_selection=group,
+            common_case=data.draw(st.sampled_from(list(CommonCase))),
+            theta0_override=theta0,
+        )
+        report = u.run_pipeline(samples, config, mode=mode)
+        document = u.emit_report(report, "structured")
+        parsed = u.parse_report(document)
+        assert parsed == report
+        assert u.emit_report(parsed, "structured") == document
 
     def test_emission_is_deterministic(self, toothmarks_report):
         first = u.emit_report(toothmarks_report, "structured")
@@ -325,7 +428,7 @@ class TestPlotData:
     def test_row_counts_and_flags(self, example1_report, example1, tmp_path):
         samples, _ = example1
         path = tmp_path / "plot.csv"
-        u.emit_plot_data(example1_report, samples, path)
+        u.emit_plot_data(example1_report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         header, rows = lines[0], lines[1:]
         assert header == "population,index,value,interval_source,lower,upper,is_outlier"
@@ -339,7 +442,7 @@ class TestPlotData:
     def test_field_study_row_count(self, toothmarks_report, toothmarks, tmp_path):
         samples, _ = toothmarks
         path = tmp_path / "plot.csv"
-        u.emit_plot_data(toothmarks_report, samples, path)
+        u.emit_plot_data(toothmarks_report, path)
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 38 * 6
 
@@ -347,10 +450,12 @@ class TestPlotData:
         samples = [PopulationSample("solo", (1.0, 2.0, 3.0, 4.0))]
         report = u.run_pipeline(samples, RunConfig(), mode="fit")
         path = tmp_path / "plot.csv"
-        u.emit_plot_data(report, samples, path)
+        u.emit_plot_data(report, path)
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 4
 
-    def test_mismatched_samples(self, toothmarks_report):
-        with pytest.raises(ValueError):
-            u.emit_plot_data(toothmarks_report, [PopulationSample("x", (1.0,))], "/tmp/x.csv")
+    def test_parsed_report_plots_the_same(self, toothmarks_report, tmp_path):
+        parsed = u.parse_report(u.emit_report(toothmarks_report, "structured"))
+        u.emit_plot_data(toothmarks_report, tmp_path / "a.csv")
+        u.emit_plot_data(parsed, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

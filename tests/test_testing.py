@@ -69,8 +69,12 @@ class TestAcceptanceInterval:
         assert (iv.source_e, iv.source_sigma, iv.alpha) == (1.5, 2.5, 0.05)
 
     def test_rejects_inconsistent_endpoints(self):
-        with pytest.raises(ValueError):
+        # endpoints are derived from the source, so none can be supplied
+        with pytest.raises(TypeError):
             AcceptanceInterval(lower=-1.0, upper=1.0, alpha=0.05, source_e=0.0, source_sigma=1.0)
+        d = NormalUncertain(1.5, 2.5)
+        iv = AcceptanceInterval(1.5, 2.5, 0.05)
+        assert (iv.lower, iv.upper) == (quantile(d, 0.025), quantile(d, 0.975))
 
 
 class TestCountOutliers:
@@ -179,8 +183,13 @@ class TestSingleTest:
 
     def test_decision_invariant_validation(self):
         iv = acceptance_interval(NormalUncertain(0.0, 1.0), 0.05)
-        with pytest.raises(ValueError):
+        # threshold and verdict are derived, so no inconsistent pair can be supplied
+        with pytest.raises(TypeError):
             TestDecision(interval=iv, outlier_indices=(1, 2), threshold=1, sample_size=5, rejected=False)
+        decision = TestDecision(interval=iv, outlier_indices=(1, 2), sample_size=5)
+        assert (decision.threshold, decision.rejected) == (1, True)
+        with pytest.raises(ValueError):
+            TestDecision(interval=iv, outlier_indices=(), sample_size=0)
 
     @given(
         seedvals=st.lists(st.floats(-8, 8), min_size=2, max_size=40),
