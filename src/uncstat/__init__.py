@@ -7,8 +7,9 @@ of a shared parameter against a fixed constant.
 """
 
 from .datasets import DATASETS, dataset_paths
-from .errors import ConfigurationError, DataFormatError, DegenerateSampleError
+from .errors import ConfigurationError, DataFormatError, DegenerateSampleError, NumericError
 from .multi import (
+    CrossTests,
     HomogeneityResult,
     PairwiseDecision,
     ParameterCase,
@@ -44,8 +45,10 @@ from .pooling import (
 from .testing import (
     AcceptanceInterval,
     PopulationSample,
+    SortedSample,
     TestDecision,
     acceptance_interval,
+    band_quantiles,
     count_outliers,
     fit_and_verify,
     rejection_threshold,
@@ -78,6 +81,8 @@ __all__ = [
     "PopulationSample",
     "AcceptanceInterval",
     "TestDecision",
+    "SortedSample",
+    "band_quantiles",
     "acceptance_interval",
     "count_outliers",
     "rejection_threshold",
@@ -90,6 +95,7 @@ __all__ = [
     "HomogeneityResult",
     "ufwer",
     "cross_interval",
+    "CrossTests",
     "pairwise_test",
     "homogeneity_test",
     "homogeneous_groups",
@@ -118,6 +124,7 @@ __all__ = [
     "ConfigurationError",
     "DataFormatError",
     "DegenerateSampleError",
+    "NumericError",
     # bundled data
     "DATASETS",
     "dataset_paths",

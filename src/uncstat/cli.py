@@ -2,7 +2,7 @@
 
 Exit codes: 0 = the requested stage ran to completion (whatever the verdicts),
 2 = input or configuration problem, 3 = runtime numeric failure such as a
-zero-spread sample.
+zero-spread sample or moments that overflow double precision.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigurationError, DataFormatError, DegenerateSampleError
+from .errors import ConfigurationError, DataFormatError, NumericError
 from .pipeline import MODES, emit_plot_data, emit_report, ingest, run_pipeline
-from .udist import NormalUncertain, check_level
+from .udist import NormalUncertain
 
 __all__ = ["build_parser", "main"]
 
@@ -65,10 +65,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         samples, config = ingest(args.data, args.config)
         if args.alpha is not None:
             try:
-                check_level(args.alpha)
+                config = replace(config, alpha=args.alpha)
             except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
-            config = replace(config, alpha=args.alpha)
+                raise ConfigurationError(f"--alpha: {exc}") from None
         if args.group is not None:
             ids = tuple(g.strip() for g in args.group.split(",") if g.strip())
             if not ids:
@@ -88,7 +87,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataFormatError, ConfigurationError, OSError) as exc:
         print(f"uncstat: error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateSampleError as exc:
+    except NumericError as exc:
         print(f"uncstat: numeric error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class DegenerateSampleError(ValueError):
+class NumericError(ValueError):
+    """A result cannot be computed in double precision from valid inputs."""
+
+
+class DegenerateSampleError(NumericError):
     """A sample has zero spread, so no scale can be estimated from it."""
 
 

@@ -9,10 +9,15 @@ heterogeneous pair rejects overall homogeneity.  Because the worst-case
 belief degree of a union of independent wrong rejections is the maximum of
 the component levels, all component tests run at the same level as the
 overall test.
+
+The pairwise stage shares its work across pairs (:class:`CrossTests`): each
+band is built once per reference distribution, and a population that meets
+more bands than log2 of its size is sorted once and counted by bisection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -22,6 +27,7 @@ from .errors import ConfigurationError
 from .testing import (
     AcceptanceInterval,
     PopulationSample,
+    SortedSample,
     TestDecision,
     acceptance_interval,
     test_against_interval,
@@ -37,6 +43,7 @@ __all__ = [
     "HomogeneityResult",
     "ufwer",
     "cross_interval",
+    "CrossTests",
     "pairwise_test",
     "homogeneity_test",
     "homogeneous_groups",
@@ -128,6 +135,25 @@ def ufwer(alphas: Sequence[float]) -> float:
     return max(check_level(a) for a in alphas)
 
 
+def _reference(
+    case: ParameterCase, pop_i: PopulationSample, fit_j: NormalUncertain
+) -> tuple[float, float]:
+    """Location and scale of the distribution ``pop_i``'s data is tested against."""
+    if case is ParameterCase.MEANS_UNKNOWN:
+        if pop_i.known_sigma is None:
+            raise ConfigurationError(
+                f"population {pop_i.id!r}: cross-testing locations requires its known scale"
+            )
+        return fit_j.e, pop_i.known_sigma
+    if case is ParameterCase.SIGMAS_UNKNOWN:
+        if pop_i.known_e is None:
+            raise ConfigurationError(
+                f"population {pop_i.id!r}: cross-testing scales requires its known location"
+            )
+        return pop_i.known_e, fit_j.sigma
+    return fit_j.e, fit_j.sigma
+
+
 def cross_interval(
     case: ParameterCase,
     pop_i: PopulationSample,
@@ -140,21 +166,48 @@ def cross_interval(
     tested parameter comes from ``fit_j`` while any pinned parameter of
     ``pop_i`` is kept, so only the hypothesised equality is under test.
     """
-    if case is ParameterCase.MEANS_UNKNOWN:
-        if pop_i.known_sigma is None:
-            raise ConfigurationError(
-                f"population {pop_i.id!r}: cross-testing locations requires its known scale"
-            )
-        reference = NormalUncertain(fit_j.e, pop_i.known_sigma)
-    elif case is ParameterCase.SIGMAS_UNKNOWN:
-        if pop_i.known_e is None:
-            raise ConfigurationError(
-                f"population {pop_i.id!r}: cross-testing scales requires its known location"
-            )
-        reference = NormalUncertain(pop_i.known_e, fit_j.sigma)
-    else:
-        reference = fit_j
-    return acceptance_interval(reference, alpha)
+    return acceptance_interval(NormalUncertain(*_reference(case, pop_i, fit_j)), alpha)
+
+
+class CrossTests:
+    """Cross-test decisions of one group of populations at one level.
+
+    Bands are kept in a table keyed by their reference distribution, so each
+    is built once: in the both-unknown case i's data against j's fit uses
+    j's own band, and ``n`` bands serve all ``n(n-1)`` cross-tests.  Each
+    population of ``group`` meets ``n - 1`` bands; one that meets more than
+    ``log2`` of its size is sorted once and counted by bisection
+    (:class:`~uncstat.testing.SortedSample`), the others by the linear scan
+    of :func:`~uncstat.testing.count_outliers`, which costs less for them.
+    Sorted samples are found by population id, so :meth:`decide` must be
+    given the populations of ``group`` themselves.  Decisions equal
+    ``test_against_interval(pop_i, cross_interval(...))``.
+    """
+
+    def __init__(
+        self, case: ParameterCase, alpha: float, group: Sequence[PopulationSample] = ()
+    ) -> None:
+        self.case = case
+        self.alpha = check_level(alpha)
+        self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
+        meets = len(group) - 1
+        self._sorted = {s.id: SortedSample(s) for s in group if meets > math.log2(s.size)}
+
+    def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
+        """The band :func:`cross_interval` gives, built on first use."""
+        key = _reference(self.case, pop_i, fit_j)
+        band = self._bands.get(key)
+        if band is None:
+            band = self._bands[key] = acceptance_interval(NormalUncertain(*key), self.alpha)
+        return band
+
+    def decide(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> TestDecision:
+        """Test ``pop_i``'s data against the band built from ``fit_j``."""
+        band = self.band(pop_i, fit_j)
+        view = self._sorted.get(pop_i.id)
+        if view is None:
+            return test_against_interval(pop_i, band)
+        return TestDecision(band, view.outliers(band), pop_i.size)
 
 
 def pairwise_test(
@@ -164,17 +217,25 @@ def pairwise_test(
     fit_i: NormalUncertain,
     fit_j: NormalUncertain,
     alpha: float,
+    *,
+    tests: CrossTests | None = None,
 ) -> PairwiseDecision:
     """Symmetric cross-test of a pair: i's data against j's fit and vice versa.
 
     The per-population self-tests are not repeated here; they are run once
-    per population by :func:`~uncstat.testing.fit_and_verify`.
+    per population by :func:`~uncstat.testing.fit_and_verify`.  ``tests``
+    shares bands and sorted samples across the pairs of one group; it must
+    have been built for the same case and level.
     """
+    if tests is None:
+        tests = CrossTests(case, alpha)
+    elif (tests.case, tests.alpha) != (case, alpha):
+        raise ValueError("cross-tests were built for another case or level")
     return PairwiseDecision(
         i=pop_i.id,
         j=pop_j.id,
-        decision_i_vs_j=test_against_interval(pop_i, cross_interval(case, pop_i, fit_j, alpha)),
-        decision_j_vs_i=test_against_interval(pop_j, cross_interval(case, pop_j, fit_i, alpha)),
+        decision_i_vs_j=tests.decide(pop_i, fit_j),
+        decision_j_vs_i=tests.decide(pop_j, fit_i),
     )
 
 
@@ -199,8 +260,9 @@ def homogeneity_test(
         raise ValueError("population ids must be unique")
     check_case(case, (s for s, _ in group))
 
+    tests = CrossTests(case, alpha, [s for s, _ in group])
     pairwise = tuple(
-        pairwise_test(case, a, b, fit_a, fit_b, alpha)
+        pairwise_test(case, a, b, fit_a, fit_b, alpha, tests=tests)
         for (a, fit_a), (b, fit_b) in combinations(group, 2)
     )
     # Every component test runs at alpha, so by ufwer the family-wise level
@@ -223,14 +285,14 @@ def homogeneous_groups(
     singletons.
     """
     id_list = list(ids)
-    if len(set(id_list)) != len(id_list):
+    id_set = set(id_list)
+    if len(id_set) != len(id_list):
         raise ValueError("population ids must be unique")
-    wanted = {frozenset(p) for p in combinations(id_list, 2)}
     seen: set[frozenset[str]] = set()
     adjacency: dict[str, set[str]] = {i: set() for i in id_list}
     for p in pairwise:
         key = frozenset((p.i, p.j))
-        if len(key) != 2 or not key <= set(id_list):
+        if len(key) != 2 or not key <= id_set:
             raise ValueError(f"pairwise decision {p.i!r}/{p.j!r} does not match the id list")
         if key in seen:
             raise ValueError(f"duplicate pairwise decision for {p.i!r}/{p.j!r}")
@@ -238,7 +300,10 @@ def homogeneous_groups(
         if p.homogeneous:
             adjacency[p.i].add(p.j)
             adjacency[p.j].add(p.i)
-    if seen != wanted:
+    # seen holds distinct pairs of ids, so it covers them all iff its size matches.
+    n = len(id_list)
+    if len(seen) != n * (n - 1) // 2:
+        wanted = {frozenset(p) for p in combinations(id_list, 2)}
         missing = sorted(tuple(sorted(k)) for k in wanted - seen)
         raise ValueError(f"pairwise decisions missing for pairs: {missing}")
 

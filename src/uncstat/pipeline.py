@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -17,11 +18,11 @@ from typing import Any, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .multi import (
+    CrossTests,
     HomogeneityResult,
     PairwiseDecision,
     ParameterCase,
     check_case,
-    cross_interval,
     homogeneity_test,
 )
 from .pooling import CommonCase, CommonTestResult, common_test, merge_group
@@ -30,6 +31,7 @@ from .testing import (
     PopulationSample,
     TestDecision,
     acceptance_interval,
+    band_quantiles,
     fit_and_verify,
 )
 from .udist import NormalUncertain, check_level
@@ -94,7 +96,7 @@ class RunConfig:
     theta0_override: NormalUncertain | None = None
 
     def __post_init__(self) -> None:
-        check_level(self.alpha)
+        band_quantiles(self.alpha)
         ids = [p.id for p in self.populations]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -117,9 +119,20 @@ def _enum_from(value: Any, enum_cls: type, what: str) -> Any:
 
 
 def _number(value: Any, what: str) -> float:
+    """A finite number as a float; JSON also reads Infinity, NaN and huge integers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _optional_number(value: Any, what: str) -> float | None:
+    return None if value is None else _number(value, what)
 
 
 def config_from_dict(obj: Any) -> RunConfig:
@@ -143,10 +156,8 @@ def config_from_dict(obj: Any) -> RunConfig:
         populations.append(
             PopulationConfig(
                 id=str(entry["id"]),
-                known_e=None if entry.get("known_e") is None else _number(entry["known_e"], "known_e"),
-                known_sigma=None
-                if entry.get("known_sigma") is None
-                else _number(entry["known_sigma"], "known_sigma"),
+                known_e=_optional_number(entry.get("known_e"), "known_e"),
+                known_sigma=_optional_number(entry.get("known_sigma"), "known_sigma"),
             )
         )
 
@@ -438,17 +449,24 @@ def _fit_to_dict(d: NormalUncertain) -> dict[str, float]:
 
 
 def _fit_from_dict(obj: dict[str, Any]) -> NormalUncertain:
-    return NormalUncertain(obj["e"], obj["sigma"])
+    return NormalUncertain(_number(obj["e"], "e"), _number(obj["sigma"], "sigma"))
+
+
+def _numbers(values: Any) -> tuple[float, ...]:
+    """A list of numbers as a tuple; booleans are not numbers here."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError("values must be a list of numbers")
+    return tuple(values)
 
 
 def _decision_from(interval: AcceptanceInterval, raw: Any, m: int) -> TestDecision:
     """Rebuild a decision from its band and the outlier positions on record."""
     indices = tuple(raw)
     if indices and not (
-        all(type(p) is int for p in indices)
+        set(map(type, indices)) == {int}
         and 1 <= indices[0]
         and indices[-1] <= m
-        and all(a < b for a, b in zip(indices, indices[1:]))
+        and all(map(operator.lt, indices, indices[1:]))
     ):
         raise ValueError(f"outlier positions must ascend within 1..{m}")
     return TestDecision(interval, indices, m)
@@ -535,9 +553,9 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
     for entry in obj["populations"]:
         sample = PopulationSample(
             id=entry["id"],
-            values=tuple(entry["values"]),
-            known_e=entry["known_e"],
-            known_sigma=entry["known_sigma"],
+            values=_numbers(entry["values"]),
+            known_e=_optional_number(entry["known_e"], "known_e"),
+            known_sigma=_optional_number(entry["known_sigma"], "known_sigma"),
         )
         fit = _fit_from_dict(entry["fit"])
         self_test = _decision_from(
@@ -545,11 +563,11 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
         )
         populations.append(PopulationReport(sample=sample, fit=fit, self_test=self_test))
     by_id = {p.sample.id: p for p in populations}
+    bands = CrossTests(case, alpha)
 
     def cross(data: str, source: str, raw: Any) -> TestDecision:
         sample = by_id[data].sample
-        band = cross_interval(case, sample, by_id[source].fit, alpha)
-        return _decision_from(band, raw, sample.size)
+        return _decision_from(bands.band(sample, by_id[source].fit), raw, sample.size)
 
     homogeneity = None
     if obj["homogeneity"] is not None:
@@ -749,9 +767,10 @@ def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
     every parameter source of the homogeneity matrix, with its band and flag.
     """
     rows: list[list[Any]] = []
+    bands = CrossTests(report.case, report.alpha)
     for data in report.populations:
         for source in report.populations:
-            band = cross_interval(report.case, data.sample, source.fit, report.alpha)
+            band = bands.band(data.sample, source.fit)
             for idx, value in enumerate(data.sample.values, start=1):
                 rows.append(
                     [

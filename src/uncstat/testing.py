@@ -10,14 +10,18 @@ hypothesised distribution.  The null is rejected when strictly more than
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .udist import NormalUncertain, check_level, fit_moments, quantile
+from .udist import NormalUncertain, check_level, fit_moments, std_quantile
 
 __all__ = [
     "PopulationSample",
     "AcceptanceInterval",
     "TestDecision",
+    "SortedSample",
+    "band_quantiles",
     "acceptance_interval",
     "count_outliers",
     "rejection_threshold",
@@ -60,8 +64,9 @@ class AcceptanceInterval:
     ``(source_e, source_sigma)`` at level ``alpha``.
 
     The endpoints are the quantiles at ``alpha/2`` and ``1 - alpha/2``,
-    computed once here; they are plain attributes because outlier counting
-    reads them for every observation.
+    computed once here from the standard quantiles of the level
+    (:func:`band_quantiles`); they are plain attributes because outlier
+    counting reads them for every observation.
     """
 
     source_e: float
@@ -71,10 +76,11 @@ class AcceptanceInterval:
     upper: float = field(init=False)
 
     def __post_init__(self) -> None:
-        check_level(self.alpha)
+        q_lower, q_upper = band_quantiles(self.alpha)
         source = NormalUncertain(self.source_e, self.source_sigma)
-        lower = quantile(source, self.alpha / 2.0)
-        upper = quantile(source, 1.0 - self.alpha / 2.0)
+        # quantile(source, p) by definition: e + sigma * std_quantile(p)
+        lower = source.e + source.sigma * q_lower
+        upper = source.e + source.sigma * q_upper
         if not lower < upper:
             raise ValueError(f"empty interval: [{lower!r}, {upper!r}]")
         object.__setattr__(self, "lower", lower)
@@ -110,6 +116,22 @@ class TestDecision:
         return "rejected" if self.rejected else "cannot be rejected"
 
 
+@lru_cache(maxsize=64)
+def band_quantiles(alpha: float) -> tuple[float, float]:
+    """Standard quantiles at ``alpha/2`` and ``1 - alpha/2``, computed once per level.
+
+    Raises ValueError unless ``alpha`` is a level whose upper tail point
+    ``1 - alpha/2`` is still below 1 in double precision.
+    """
+    check_level(alpha)
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise ValueError(
+            f"belief level {alpha!r} is too small: 1 - alpha/2 rounds to 1 "
+            "in double precision, so the acceptance band has no upper end"
+        )
+    return std_quantile(alpha / 2.0), std_quantile(1.0 - alpha / 2.0)
+
+
 def acceptance_interval(d: NormalUncertain, alpha: float) -> AcceptanceInterval:
     """Acceptance band of ``d`` at level ``alpha``."""
     return AcceptanceInterval(d.e, d.sigma, alpha)
@@ -124,6 +146,31 @@ def count_outliers(sample: PopulationSample, interval: AcceptanceInterval) -> tu
     )
 
 
+class SortedSample:
+    """A sample's values in ascending order with their 1-based positions.
+
+    Sorting costs O(m log m) once; each band is then counted with two
+    bisections instead of a scan of all ``m`` values, which pays once the
+    sample meets more than about ``log2(m)`` bands.
+    """
+
+    __slots__ = ("values", "positions")
+
+    def __init__(self, sample: PopulationSample) -> None:
+        order = sorted(range(sample.size), key=sample.values.__getitem__)
+        self.values = [sample.values[k] for k in order]
+        self.positions = [k + 1 for k in order]
+
+    def outliers(self, interval: AcceptanceInterval) -> tuple[int, ...]:
+        """The positions :func:`count_outliers` gives for the sample."""
+        # Values equal to an endpoint are inside: bisect_left stops before
+        # them at the lower end, bisect_right passes them at the upper end.
+        below = bisect_left(self.values, interval.lower)
+        above = bisect_right(self.values, interval.upper)
+        return tuple(sorted(self.positions[:below] + self.positions[above:]))
+
+
+@lru_cache(maxsize=1024)
 def rejection_threshold(m: int, alpha: float) -> int:
     """Smallest outlier count that rejects: the least integer > ``alpha * m``.
 

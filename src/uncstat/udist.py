@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import DegenerateSampleError
+from .errors import DegenerateSampleError, NumericError
 
 __all__ = [
     "NormalUncertain",
@@ -94,6 +94,17 @@ def quantile(d: NormalUncertain, alpha: float) -> float:
     return d.e + d.sigma * std_quantile(alpha)
 
 
+def _mean(terms: Iterable[float], m: int) -> float:
+    """``fsum(terms) / m``, or :class:`NumericError` if it leaves the double range."""
+    try:
+        mean = math.fsum(terms) / m
+    except OverflowError:
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise NumericError("the sample's moments overflow double precision; rescale the data")
+    return mean
+
+
 def fit_moments(
     values: Iterable[float],
     known_e: float | None = None,
@@ -106,21 +117,23 @@ def fit_moments(
     with population normalisation (divisor ``m``, not ``m - 1``), unless
     ``known_sigma`` pins it.
 
-    Raises ValueError for an empty sample and
+    Raises ValueError for an empty sample,
     :class:`~uncstat.errors.DegenerateSampleError` when every value coincides
-    with the location and no scale was supplied.
+    with the location and no scale was supplied, and
+    :class:`~uncstat.errors.NumericError` when a moment overflows double
+    precision.
     """
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("cannot fit an empty sample")
     m = len(vals)
-    e = float(known_e) if known_e is not None else math.fsum(vals) / m
+    e = float(known_e) if known_e is not None else _mean(vals, m)
     if known_sigma is not None:
         sigma = float(known_sigma)
         if not sigma > 0.0:
             raise ValueError(f"known scale must be > 0, got {known_sigma!r}")
     else:
-        sigma = math.sqrt(math.fsum((v - e) ** 2 for v in vals) / m)
+        sigma = math.sqrt(_mean(((v - e) ** 2 for v in vals), m))
         if sigma == 0.0:
             raise DegenerateSampleError(
                 "sample has zero spread about its location; supply a scale "

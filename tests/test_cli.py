@@ -42,6 +42,24 @@ class TestExitCodes:
         data, config = field_paths
         assert run(["--data", data, "--config", config, "--alpha", "1.5"]) == 2
 
+    def test_tiny_alpha_is_two(self, field_paths, tmp_path, capsys):
+        data, config = field_paths
+        assert run(["--data", data, "--config", config, "--alpha", "1e-17"]) == 2
+        err = capsys.readouterr().err
+        assert "1e-17" in err and "too small" in err and "Traceback" not in err
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"alpha": 1e-17}), encoding="utf-8")
+        assert run(["--data", data, "--config", cfg]) == 2
+        assert "1e-17" in capsys.readouterr().err
+
+    def test_overflowing_moments_is_three(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        rows = ["a,1e200", "a,2e200", "a,3e200", "b,1.5", "b,2.5", "b,3.1"]
+        huge.write_text("population,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert run(["--data", huge]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "overflow" in err and "Traceback" not in err
+
     def test_degenerate_sample_is_three(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("population,value\n1,2.0\n1,2.0\n1,2.0\n", encoding="utf-8")

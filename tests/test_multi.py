@@ -1,11 +1,14 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import uncstat.multi
+import uncstat.testing
 from uncstat import (
     ConfigurationError,
+    CrossTests,
     NormalUncertain,
     PairwiseDecision,
     ParameterCase,
@@ -229,6 +232,89 @@ class TestHomogeneityTest:
             assert base.rejected == (base.groups != whole)
 
 
+class Counting:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+class TestCrossTests:
+    PINNED = {
+        ParameterCase.MEANS_UNKNOWN: lambda k: {"known_sigma": 0.5 + k / 4},
+        ParameterCase.SIGMAS_UNKNOWN: lambda k: {"known_e": k / 10 - 0.2},
+        ParameterCase.BOTH_UNKNOWN: lambda k: {},
+    }
+
+    # (populations, smallest and largest size): with n - 1 > log2(m) every
+    # population is sorted, otherwise every one is scanned.
+    SHAPES = {"few-large-scanned": (3, 33, 60), "many-small-sorted": (9, 3, 8)}
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_homogeneity_matches_the_per_pair_definition(self, case, shape, data):
+        n, low, high = self.SHAPES[shape]
+        samples = []
+        for k in range(n):
+            # Integers on a coarse grid give many ties; the offset makes
+            # some pairs compatible and others not.
+            ints = data.draw(st.lists(st.integers(-30, 30), min_size=low, max_size=high))
+            assume(len(set(ints)) > 1)
+            offset = data.draw(st.integers(0, 4)) * 0.3
+            values = tuple(x / 10 + offset for x in ints)
+            samples.append(PopulationSample(f"p{k}", values, **self.PINNED[case](k)))
+        group = fitted(samples)
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+
+        scans = Counting(uncstat.testing.count_outliers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uncstat.testing, "count_outliers", scans)
+            result = homogeneity_test(group, case, alpha)
+        assert scans.calls == (n * (n - 1) if shape == "few-large-scanned" else 0)
+
+        pairs = list(combinations(group, 2))
+        assert len(result.pairwise) == len(pairs)
+        for pair, ((a, fit_a), (b, fit_b)) in zip(result.pairwise, pairs):
+            assert (pair.i, pair.j) == (a.id, b.id)
+            assert pair.decision_i_vs_j == uncstat.testing.test_against_interval(
+                a, cross_interval(case, a, fit_b, alpha)
+            )
+            assert pair.decision_j_vs_i == uncstat.testing.test_against_interval(
+                b, cross_interval(case, b, fit_a, alpha)
+            )
+
+    def test_both_unknown_builds_one_band_per_population(self, toothmarks):
+        samples, _ = toothmarks
+        builds = Counting(uncstat.multi.acceptance_interval)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uncstat.multi, "acceptance_interval", builds)
+            homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
+        assert builds.calls == len(samples)
+
+    def test_band_equals_cross_interval(self, example2):
+        samples, _ = example2
+        tests = CrossTests(ParameterCase.MEANS_UNKNOWN, 0.05)
+        fit = NormalUncertain(4.948, 9.9)
+        band = tests.band(samples[2], fit)
+        assert band == cross_interval(ParameterCase.MEANS_UNKNOWN, samples[2], fit, 0.05)
+        assert tests.band(samples[2], fit) is band
+
+    def test_pairwise_test_rejects_tests_for_another_level(self, toothmarks):
+        samples, _ = toothmarks
+        (a, fa), (b, fb) = fitted(samples[:2])
+        tests = CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, [a, b])
+        with pytest.raises(ValueError, match="another case or level"):
+            pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fa, fb, 0.1, tests=tests)
+        shared = pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fa, fb, 0.05, tests=tests)
+        assert shared == pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fa, fb, 0.05)
+
+
 class TestHomogeneousGroups:
     def test_complete_graph(self):
         ids = ["1", "2", "3"]
@@ -267,7 +353,7 @@ class TestHomogeneousGroups:
     def test_incomplete_coverage(self):
         ids = ["1", "2", "3"]
         pairwise = [make_pairwise("1", "2", True)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"missing for pairs: \[\('1', '3'\), \('2', '3'\)\]"):
             homogeneous_groups(ids, pairwise)
 
     def test_duplicate_pair(self):

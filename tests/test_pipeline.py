@@ -72,6 +72,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_dict({"alpha": 1.5})
 
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1" + "0" * 400])
+    def test_non_finite_pinned_parameter(self, text):
+        document = '{"populations": [{"id": "1", "known_e": %s}]}' % text
+        with pytest.raises(ConfigurationError):
+            config_from_dict(json.loads(document))
+
     def test_bad_theta0(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"theta0": {"e": 0.0}})
@@ -332,6 +338,31 @@ class TestReportSerialisation:
             },
             lambda obj: {**obj, "selected_group": ["3", "3", "4"]},
             lambda obj: {**obj, "common_test": {**obj["common_test"], "outliers": [99]}},
+            lambda obj: {
+                **obj,
+                "populations": [
+                    {**p, "values": [str(v) for v in p["values"]]} for p in obj["populations"]
+                ],
+            },
+            lambda obj: {
+                **obj,
+                "populations": [{**obj["populations"][0], "values": [True] * 6}]
+                + obj["populations"][1:],
+            },
+            lambda obj: {
+                **obj,
+                "populations": [{**obj["populations"][0], "known_sigma": "0.1"}]
+                + obj["populations"][1:],
+            },
+            lambda obj: {
+                **obj,
+                "populations": [{**obj["populations"][0], "fit": {"e": "2.883", "sigma": 0.069}}]
+                + obj["populations"][1:],
+            },
+            lambda obj: {
+                **obj,
+                "common_test": {**obj["common_test"], "theta0": {"e": 2.5, "sigma": True}},
+            },
         ],
         ids=[
             "missing-populations",
@@ -340,6 +371,11 @@ class TestReportSerialisation:
             "negative-scale",
             "repeated-selected-population",
             "outlier-position-out-of-range",
+            "string-values",
+            "boolean-values",
+            "string-known-scale",
+            "string-fitted-location",
+            "boolean-reference-scale",
         ],
     )
     def test_malformed_document(self, toothmarks_report, corrupt):

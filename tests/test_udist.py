@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from uncstat import (
     DegenerateSampleError,
     NormalUncertain,
+    NumericError,
     cdf,
     fit_moments,
     nonembedded_check,
@@ -136,6 +137,26 @@ class TestFitMoments:
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSampleError):
             fit_moments([5.0, 5.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e200, 2e200, 3e200],  # squared deviations overflow
+            [1.7e308, 1.7e308],  # the sum overflows
+            [1.7e308, 1.7e308, -1.7e308],  # a deviation overflows to infinity
+        ],
+    )
+    def test_overflow_is_a_numeric_error(self, values):
+        with pytest.raises(NumericError, match="overflow"):
+            fit_moments(values)
+
+    def test_large_values_in_range_still_fit(self):
+        d = fit_moments([1e150, 2e150, 3e150])
+        assert d.e == 2e150
+        assert d.sigma == pytest.approx(math.sqrt(2 / 3) * 1e150, rel=1e-12)
+
+    def test_degenerate_sample_is_a_numeric_error(self):
+        assert issubclass(DegenerateSampleError, NumericError)
 
     def test_invalid_known_scale(self):
         with pytest.raises(ValueError):
