@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -217,6 +217,44 @@ def load_config(path: str | Path) -> RunConfig:
 # ingestion
 
 
+def _read_columns(data_path: str | Path) -> dict[str, list[float]]:
+    """Each population's values in file order, checked row by row.
+
+    Rows stream from the file, so no list of every row is held; the default
+    newline mode reads a line break inside a quoted field as ``"\\n"``.
+    """
+    by_id: dict[str, list[float]] = {}
+    with open(data_path, encoding="utf-8-sig") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise DataFormatError("data file is empty")
+        if [h.strip() for h in header] != ["population", "value"]:
+            raise DataFormatError("line 1: expected header 'population,value'")
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != 2:
+                if not row:
+                    continue  # tolerate blank lines
+                raise DataFormatError(f"line {lineno}: expected 2 fields, found {len(row)}")
+            pid = row[0].strip()
+            if not pid:
+                raise DataFormatError(f"line {lineno}: empty population id")
+            raw = row[1].strip()
+            try:
+                if "_" in raw:  # float() would accept 1_000; the format does not
+                    raise ValueError
+                value = float(raw)
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: value {raw!r} is not numeric") from None
+            if not math.isfinite(value):
+                raise DataFormatError(f"line {lineno}: value must be finite, got {raw!r}")
+            values = by_id.get(pid)
+            if values is None:
+                values = by_id[pid] = []
+            values.append(value)
+    return by_id
+
+
 def ingest(
     data_path: str | Path, config_path: str | Path | None = None
 ) -> tuple[list[PopulationSample], RunConfig]:
@@ -229,33 +267,10 @@ def ingest(
     """
     config = load_config(config_path) if config_path is not None else RunConfig()
 
-    text = Path(data_path).read_text(encoding="utf-8-sig")
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise DataFormatError("data file is empty")
-    header = [h.strip() for h in rows[0]]
-    if header != ["population", "value"]:
-        raise DataFormatError("line 1: expected header 'population,value'")
-
-    by_id: dict[str, list[float]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue  # tolerate blank lines
-        if len(row) != 2:
-            raise DataFormatError(f"line {lineno}: expected 2 fields, found {len(row)}")
-        pid = row[0].strip()
-        if not pid:
-            raise DataFormatError(f"line {lineno}: empty population id")
-        raw = row[1].strip()
-        try:
-            if "_" in raw:  # float() would accept 1_000; the format does not
-                raise ValueError
-            value = float(raw)
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: value {raw!r} is not numeric") from None
-        if not math.isfinite(value):
-            raise DataFormatError(f"line {lineno}: value must be finite, got {raw!r}")
-        by_id.setdefault(pid, []).append(value)
+    try:
+        by_id = _read_columns(data_path)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"data file is not UTF-8 text: {exc.reason}") from None
     if not by_id:
         raise DataFormatError("data file contains a header but no rows")
 
@@ -616,9 +631,15 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
 # emission
 
 
+# Wide enough for every finite double at three decimals: 309 integer digits
+# below 1.8e308, plus the three kept.
+_FMT3_CONTEXT = Context(prec=312, rounding=ROUND_HALF_UP)
+_THOUSANDTH = Decimal("0.001")
+
+
 def _fmt3(x: float) -> str:
     """Three decimals, ties rounded away from zero (table rendering only)."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(float(x))).quantize(_THOUSANDTH, context=_FMT3_CONTEXT))
 
 
 def _fmt_interval(lower: float, upper: float) -> str:

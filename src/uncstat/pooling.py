@@ -11,8 +11,10 @@ raw when both parameters are shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 from .testing import PopulationSample, TestDecision, single_test
@@ -44,26 +46,40 @@ class CommonCase(Enum):
 
 @dataclass(frozen=True)
 class MergedSample:
-    """Pooled data with provenance back to (population id, original index)."""
+    """Pooled data with provenance: ``parts`` holds each contributing
+    population's id and size in merge order, so merged position ``k`` maps
+    back to (population id, original index) without a record per point."""
 
     values: tuple[float, ...]
-    origins: tuple[tuple[str, int], ...]
+    parts: tuple[tuple[str, int], ...]
+    _ends: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.origins):
-            raise ValueError("values and origins must be parallel")
         if not self.values:
             raise ValueError("merged sample is empty")
+        if any(size < 1 for _, size in self.parts):
+            raise ValueError("every part must hold at least one point")
+        ends = list(accumulate(size for _, size in self.parts))
+        if not ends or ends[-1] != len(self.values):
+            raise ValueError("part sizes must add up to the number of values")
+        object.__setattr__(self, "_ends", ends)
 
     @property
     def n(self) -> int:
         return len(self.values)
 
+    @property
+    def origins(self) -> tuple[tuple[str, int], ...]:
+        """(population id, 1-based original index) of every merged position."""
+        return tuple((pid, idx) for pid, size in self.parts for idx in range(1, size + 1))
+
     def origin_of(self, merged_index: int) -> tuple[str, int]:
         """Map a 1-based merged position back to its source data point."""
-        if not 1 <= merged_index <= len(self.origins):
-            raise IndexError(f"merged position {merged_index} outside 1..{len(self.origins)}")
-        return self.origins[merged_index - 1]
+        if not 1 <= merged_index <= self.n:
+            raise IndexError(f"merged position {merged_index} outside 1..{self.n}")
+        part = bisect_left(self._ends, merged_index)
+        start = self._ends[part - 1] if part else 0
+        return self.parts[part][0], merged_index - start
 
 
 @dataclass(frozen=True)
@@ -95,18 +111,18 @@ def unify_location(values: Sequence[float], center: float) -> tuple[float, ...]:
 
 
 def merge(parts: Sequence[tuple[str, Sequence[float]]]) -> MergedSample:
-    """Concatenate per-population data in the given order, recording origins."""
+    """Concatenate per-population data in the given order, recording each
+    population's id and size."""
     if not parts:
         raise ValueError("cannot merge an empty group")
     values: list[float] = []
-    origins: list[tuple[str, int]] = []
+    sizes: list[tuple[str, int]] = []
     for pid, vals in parts:
         if not vals:
             raise ValueError(f"population {pid!r} contributes no data")
-        for idx, v in enumerate(vals, start=1):
-            values.append(float(v))
-            origins.append((pid, idx))
-    return MergedSample(tuple(values), tuple(origins))
+        values.extend(map(float, vals))
+        sizes.append((pid, len(vals)))
+    return MergedSample(tuple(values), tuple(sizes))
 
 
 def merge_group(

@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .errors import NumericError
 from .udist import NormalUncertain, check_level, fit_moments, std_quantile
 
 __all__ = [
@@ -43,10 +44,10 @@ class PopulationSample:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("population id must be non-empty")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if not self.values:
             raise ValueError(f"population {self.id!r} has no observations")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError(f"population {self.id!r} contains non-finite values")
         if self.known_sigma is not None and not self.known_sigma > 0.0:
             raise ValueError(
@@ -67,6 +68,10 @@ class AcceptanceInterval:
     computed once here from the standard quantiles of the level
     (:func:`band_quantiles`); they are plain attributes because outlier
     counting reads them for every observation.
+
+    Raises :class:`~uncstat.errors.NumericError` when the band is empty
+    (the scale is below the spacing of doubles at the location) or an
+    endpoint overflows double precision.
     """
 
     source_e: float
@@ -81,8 +86,14 @@ class AcceptanceInterval:
         # quantile(source, p) by definition: e + sigma * std_quantile(p)
         lower = source.e + source.sigma * q_lower
         upper = source.e + source.sigma * q_upper
-        if not lower < upper:
-            raise ValueError(f"empty interval: [{lower!r}, {upper!r}]")
+        finite = math.isfinite(lower) and math.isfinite(upper)
+        if not (finite and lower < upper):
+            problem = "empty" if finite else "not finite"
+            raise NumericError(
+                f"acceptance band of the reference (e={self.source_e!r}, "
+                f"sigma={self.source_sigma!r}) at level {self.alpha!r} is {problem} "
+                f"in double precision: [{lower!r}, {upper!r}]; rescale the data"
+            )
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -139,11 +150,8 @@ def acceptance_interval(d: NormalUncertain, alpha: float) -> AcceptanceInterval:
 
 def count_outliers(sample: PopulationSample, interval: AcceptanceInterval) -> tuple[int, ...]:
     """1-based positions of observations strictly outside ``interval``, ascending."""
-    return tuple(
-        p
-        for p, z in enumerate(sample.values, start=1)
-        if z < interval.lower or z > interval.upper
-    )
+    lower, upper = interval.lower, interval.upper
+    return tuple([p for p, z in enumerate(sample.values, start=1) if z < lower or z > upper])
 
 
 class SortedSample:
@@ -206,6 +214,12 @@ def fit_and_verify(
     Pinned parameters on the sample are respected by the fit.  A rejected
     self-test flags the population as not adequately modelled by a normal
     uncertainty distribution.
+
+    A :class:`~uncstat.errors.NumericError` from the fit or the band is
+    raised again with the population's id in front of its message.
     """
-    fitted = fit_moments(sample.values, sample.known_e, sample.known_sigma)
-    return fitted, single_test(sample, fitted, alpha)
+    try:
+        fitted = fit_moments(sample.values, sample.known_e, sample.known_sigma)
+        return fitted, single_test(sample, fitted, alpha)
+    except NumericError as exc:
+        raise type(exc)(f"population {sample.id!r}: {exc}") from None

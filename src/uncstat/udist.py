@@ -123,7 +123,7 @@ def fit_moments(
     :class:`~uncstat.errors.NumericError` when a moment overflows double
     precision.
     """
-    vals = [float(v) for v in values]
+    vals = list(map(float, values))
     if not vals:
         raise ValueError("cannot fit an empty sample")
     m = len(vals)

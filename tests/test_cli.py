@@ -60,6 +60,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numeric error" in err and "overflow" in err and "Traceback" not in err
 
+    def test_overflow_names_the_population(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = ["a,1.5", "a,2.5", "a,3.1", "b,1e200", "b,2e200", "b,3e200", "c,1", "c,2", "c,4"]
+        path.write_text("population,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert run(["--data", path]) == 3
+        err = capsys.readouterr().err
+        assert "population 'b'" in err and "overflow" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "sigma,problem", [(1e-12, "is empty"), (1e308, "is not finite")], ids=["tiny", "huge"]
+    )
+    def test_unrepresentable_band_is_three(self, tmp_path, capsys, sigma, problem):
+        data = tmp_path / "d.csv"
+        rows = ["a,1000000000.0", "a,1000000001.0", "a,1000000002.5",
+                "b,1000000000.5", "b,1000000001.5", "b,1000000003.0"]
+        data.write_text("population,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        config = tmp_path / "c.json"
+        pinned = [{"id": pid, "known_sigma": sigma} for pid in "ab"]
+        config.write_text(json.dumps({"populations": pinned}), encoding="utf-8")
+        for fmt in ("text", "structured"):
+            assert run(["--data", data, "--config", config, "--format", fmt]) == 3
+            err = capsys.readouterr().err
+            assert "numeric error" in err and problem in err and "Traceback" not in err
+            assert f"sigma={sigma!r}" in err and "level 0.05" in err
+
     def test_degenerate_sample_is_three(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("population,value\n1,2.0\n1,2.0\n1,2.0\n", encoding="utf-8")
@@ -76,6 +101,18 @@ class TestExitCodes:
         assert run(["--data", path]) == 2
         assert "ambiguous" in capsys.readouterr().err
         assert run(["--data", path, "--group", "3,4"]) == 0
+
+
+class TestTextReport:
+    def test_huge_magnitudes_render(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = ["a,1e30", "a,2e30", "a,3.5e30", "b,1.5e30", "b,2.5e30", "b,3.1e30"]
+        path.write_text("population,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert run(["--data", path, "--group", "a,b"]) == 0
+        captured = capsys.readouterr()
+        assert "pooled test on selected group" in captured.out
+        assert "2166666666666666700000000000000.000" in captured.out
+        assert captured.err == ""
 
 
 class TestFlags:

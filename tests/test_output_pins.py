@@ -1,12 +1,21 @@
-"""Byte pins for the outputs whose layout is fixed: the text report of every
-bundled study in every mode, and the per-point plot data.
+"""Byte pins for the outputs whose layout is fixed: the text and structured
+reports of every bundled study in every mode, the per-point plot data, and
+both reports of a small seeded study shaped like the benchmark's tall
+workload (few large populations, scales pinned, all of them pooled).
 
-The digests were taken before the structured report moved to schema 2 and
-acceptance bands became derived from their source parameters, so they guard
-both the derived endpoints and the text and plot renderers.
+The text and plot digests were taken before the structured report moved to
+schema 2 and acceptance bands became derived from their source parameters,
+so they guard both the derived endpoints and the text and plot renderers.
+The structured digests were taken before ingest was streamed and merged
+samples kept only their part sizes, so they guard every value, fit and
+outlier position a run stores.
 """
 
+import csv
 import hashlib
+import json
+import math
+import random
 
 import pytest
 
@@ -50,6 +59,41 @@ PLOT = {
 }
 
 
+# study -> mode -> SHA-256 of the structured report
+STRUCTURED = {
+    "example1": {
+        "pipeline": "4cb1390397f1275d619b46ee32c82d929326200e3d0e12725f067a0a3a8c9701",
+        "fit": "582a11ffe8c4057cc9b3a2a34031a56184883eac7482457c8f576a31efad9636",
+        "homogeneity": "e14db06215f5c19a9fefe3821062fd3f93f8c3b2b1fc536e1c513547646a2925",
+        "common": "055807e09ffca6d8567296ee57b5aa70243c7179c87d016e58c7ff5e348dfa17",
+    },
+    "example2": {
+        "pipeline": "e45e36821b0bd583186d366a2701b8d81e91afa6364f543a98b7a76411d2d94a",
+        "fit": "5fa0190537e3401cb7e1c08dd4c4407d18c351e6bfc08139e6249c09b6ed2d43",
+        "homogeneity": "9840bcbde408cd46ea020564b793b0ecde25eb239ac9a9ce8846cc535d281057",
+        "common": "c4637732c315478516318bbdfccb2f42d0ba7a9fd8ea0cc1b9a222df817c4b34",
+    },
+    "example3": {
+        "pipeline": "5921bd2dadbf674b6dd85e31b909b0ae37d915b6ec50936fb3f20f88eebd4e4f",
+        "fit": "0856590a3e13fd800d6fdd0f43bf35f2c4e2e307caa3f8b1e4b34ae5a2d4e3a1",
+        "homogeneity": "d5646fdf8bcb004753adaee871a1ba5b76a7f26c0991d0e7022b787baddcb200",
+        "common": "a15bd3187eb1d1f0e7dbacc199753574057cfeaff734fd90f6374f9f542e6825",
+    },
+    "toothmarks": {
+        "pipeline": "fbb9f2cf141a1c086578ae7c16d234b12e7c372866d0f5cbe485b5d72a901637",
+        "fit": "fc0644477421b0b5d44a24568a11ae28b2746773d32d818ef49551df08256cc2",
+        "homogeneity": "b6969ae46b739df1d47c0f57d3cf20c9bf3326cd9da7415285574c95311d1f26",
+        "common": "5d2b0f53f287f0f8372e42768f32384eb52efb6830d710bd353e2b5136a98413",
+    },
+}
+
+# format -> SHA-256 of the report of tall_shaped_study
+TALL = {
+    "structured": "6828e78a3a151a646a5474b404bdcd1ba7a767e56980ad4690f0dc759f1ccb96",
+    "text": "bb6c5dd38cb8302ec7216f98ec0dec1639e25de6974c9d61d2f3b16faf51fb84",
+}
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -64,3 +108,48 @@ def test_text_and_plot_bytes(study, mode, tmp_path):
     assert main(argv) == 0
     assert sha256(text) == TEXT[study][mode]
     assert sha256(plot) == PLOT[study]
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "fit", "homogeneity", "common"])
+@pytest.mark.parametrize("study", sorted(STRUCTURED))
+def test_structured_bytes(study, mode, tmp_path):
+    data, config = u.dataset_paths(study)
+    report = tmp_path / "report.json"
+    argv = ["--data", str(data), "--config", str(config), "--mode", mode,
+            "--format", "structured", "--report", str(report)]
+    assert main(argv) == 0
+    assert sha256(report) == STRUCTURED[study][mode]
+
+
+def tall_shaped_study(directory, n=3, m=500, seed=20240611):
+    """Write ``n`` populations of ``m`` draws, every scale pinned and every
+    population selected for pooling; returns the data and config paths."""
+    rng = random.Random(seed)
+    data, config = directory / "tall.csv", directory / "tall.json"
+    populations = []
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["population", "value"])
+        for i in range(n):
+            pid, sigma = f"t{i}", 0.5 + 0.3 * i
+            e = 10.0 + rng.gauss(0.0, 0.02)
+            for _ in range(m):
+                p = rng.random() or 0.5
+                # inverse belief function of the distribution (e, sigma)
+                z = e + sigma * math.sqrt(3.0) / math.pi * math.log(p / (1.0 - p))
+                writer.writerow([pid, repr(z)])
+            populations.append({"id": pid, "known_sigma": sigma})
+    group = [p["id"] for p in populations]
+    config.write_text(json.dumps({"alpha": 0.05, "populations": populations,
+                                  "group_selection": group}), encoding="utf-8")
+    return data, config
+
+
+@pytest.mark.parametrize("format", sorted(TALL))
+def test_tall_shaped_study_bytes(format, tmp_path):
+    data, config = tall_shaped_study(tmp_path)
+    report = tmp_path / "report"
+    argv = ["--data", str(data), "--config", str(config),
+            "--format", format, "--report", str(report)]
+    assert main(argv) == 0
+    assert sha256(report) == TALL[format]

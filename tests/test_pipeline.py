@@ -1,7 +1,11 @@
+import csv
+import io
 import json
+import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import uncstat as u
@@ -85,6 +89,92 @@ class TestConfig:
             config_from_dict({"theta0": {"e": 0.0, "sigma": -1.0}})
 
 
+def reference_ingest(data_path):
+    """The data half of ingest as it read files before it streamed them:
+    the whole text first, then every row held in one list."""
+    text = Path(data_path).read_text(encoding="utf-8-sig")
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise DataFormatError("data file is empty")
+    header = [h.strip() for h in rows[0]]
+    if header != ["population", "value"]:
+        raise DataFormatError("line 1: expected header 'population,value'")
+
+    by_id = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataFormatError(f"line {lineno}: expected 2 fields, found {len(row)}")
+        pid = row[0].strip()
+        if not pid:
+            raise DataFormatError(f"line {lineno}: empty population id")
+        raw = row[1].strip()
+        try:
+            if "_" in raw:
+                raise ValueError
+            value = float(raw)
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: value {raw!r} is not numeric") from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"line {lineno}: value must be finite, got {raw!r}")
+        by_id.setdefault(pid, []).append(value)
+    if not by_id:
+        raise DataFormatError("data file contains a header but no rows")
+    return [PopulationSample(id=pid, values=tuple(values)) for pid, values in by_id.items()]
+
+
+_PADDING = st.sampled_from(["", " ", "  ", "\t"])
+_IDS = st.sampled_from(["a", "b", "c d", "x,y", 'q"t', "a\nb", "a\r\nb"])
+_ODD_IDS = st.sampled_from(["", " "])
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+_ODD_VALUES = st.sampled_from(
+    ["1_000", "inf", "-inf", "nan", "NaN", "1e400", "", "abc", "1.5.2", "+3", "\u0663"]
+)
+
+
+def _field(draw, content, clean):
+    content = draw(_PADDING) + content + draw(_PADDING)
+    if draw(st.booleans()) or any(c in content for c in ',"\r\n'):
+        content = '"%s"' % content.replace('"', '""')
+        if not clean and draw(st.integers(0, 4)) == 0:
+            content = " " + content  # the quote is then part of the field
+    return content
+
+
+@st.composite
+def data_files(draw):
+    """CSV text in the data layout with the edge cases the reader must keep:
+    a byte order mark, blank lines, quoted fields with separators, quotes and
+    line breaks, padding and CRLF line ends in every file; digit separators,
+    non-finite and non-numeric values, wrong field counts, empty ids and bad
+    headers in the files that are not drawn clean."""
+    clean = draw(st.booleans())
+    odd = st.just(False) if clean else st.integers(0, 5).map(lambda k: k == 0)
+    headers = ["population,value", " population , value ", '"population","value"']
+    lines = [draw(st.sampled_from(headers + ([] if clean else ["pop,val"])))]
+    for _ in range(draw(st.integers(0 if not clean else 1, 10))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank"] + ([] if clean else ["one", "three"])))
+        if kind == "blank":
+            lines.append("")
+            continue
+        pid = draw(_ODD_IDS if draw(odd) else _IDS)
+        value = draw(_ODD_VALUES if draw(odd) else _NUMBERS)
+        if kind == "one":
+            lines.append(_field(draw, value, clean))
+            continue
+        fields = [_field(draw, pid, clean), _field(draw, value, clean)]
+        if kind == "three":
+            fields.append(_field(draw, draw(_NUMBERS), clean))
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
 class TestIngest:
     def test_field_data_shape(self, toothmarks):
         samples, config = toothmarks
@@ -158,6 +248,31 @@ class TestIngest:
         samples, _ = u.ingest(data)
         assert [s.id for s in samples] == ["x", "y"]
         assert samples[0].values == (3.0, 2.0)
+
+    def test_invalid_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("population,value\na,1.0\n\u00e9,2.0\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            u.ingest(path)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=data_files())
+    @example(text="population,value\n ,\n")  # empty id and empty value: the id is named
+    @example(text='population,value\r\n"a\r\nb",1.0\r\n')  # line break inside quotes
+    @example(text="\ufeffpopulation,value\n\na,1_000\n")
+    def test_streamed_ingest_matches_whole_file_reference(self, text, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = reference_ingest(path)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as raised:
+                u.ingest(path)
+            assert str(raised.value) == str(exc)
+        else:
+            samples, config = u.ingest(path)
+            assert samples == expected
+            assert config == RunConfig()
 
 
 class TestResolveCase:
@@ -363,6 +478,15 @@ class TestReportSerialisation:
                 **obj,
                 "common_test": {**obj["common_test"], "theta0": {"e": 2.5, "sigma": True}},
             },
+            lambda obj: {
+                **obj,
+                "populations": [{**obj["populations"][0], "fit": {"e": 1e9, "sigma": 1e-12}}]
+                + obj["populations"][1:],
+            },
+            lambda obj: {
+                **obj,
+                "common_test": {**obj["common_test"], "theta0": {"e": 2.5, "sigma": 1e308}},
+            },
         ],
         ids=[
             "missing-populations",
@@ -376,6 +500,8 @@ class TestReportSerialisation:
             "string-known-scale",
             "string-fitted-location",
             "boolean-reference-scale",
+            "empty-self-test-band",
+            "infinite-pooled-band",
         ],
     )
     def test_malformed_document(self, toothmarks_report, corrupt):
@@ -458,6 +584,12 @@ class TestTextReport:
         assert _fmt3(-2.8835) == "-2.884"
         assert _fmt3(1.0005) == "1.001"
         assert _fmt3(2.0) == "2.000"
+
+    def test_every_finite_double_renders(self):
+        assert _fmt3(1e30) == "1" + "0" * 30 + ".000"
+        assert _fmt3(-3.5e30) == "-35" + "0" * 29 + ".000"
+        assert _fmt3(1.7976931348623157e308) == "17976931348623157" + "0" * 292 + ".000"
+        assert _fmt3(5e-324) == "0.000"
 
 
 class TestPlotData:

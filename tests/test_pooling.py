@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from uncstat import (
     CommonCase,
+    MergedSample,
     NormalUncertain,
     PopulationSample,
     common_test,
@@ -88,6 +89,45 @@ class TestMerge:
     def test_empty_part(self):
         with pytest.raises(ValueError):
             merge([("a", ())])
+
+    def test_parts_record_ids_and_sizes(self, example2):
+        samples, _ = example2
+        merged = merge([(s.id, s.values) for s in samples])
+        assert merged.parts == tuple((s.id, s.size) for s in samples)
+        assert merged.values == tuple(v for s in samples for v in s.values)
+
+
+class TestMergedSample:
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    def test_origins_follow_from_part_sizes(self, sizes):
+        parts = tuple((f"p{k}", size) for k, size in enumerate(sizes))
+        n = sum(sizes)
+        merged = MergedSample(tuple(float(k) for k in range(n)), parts)
+        explicit = []
+        for pid, size in parts:
+            explicit += [(pid, idx) for idx in range(1, size + 1)]
+        assert merged.origins == tuple(explicit)
+        assert [merged.origin_of(k) for k in range(1, n + 1)] == explicit
+        for outside in (0, n + 1):
+            with pytest.raises(IndexError):
+                merged.origin_of(outside)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.sampled_from([-1, 1]))
+    def test_parts_must_cover_the_values(self, sizes, off):
+        parts = tuple((f"p{k}", size) for k, size in enumerate(sizes))
+        n = sum(sizes) + off
+        if n > 0:
+            with pytest.raises(ValueError, match="add up"):
+                MergedSample(tuple(1.0 for _ in range(n)), parts)
+
+    @pytest.mark.parametrize(
+        "values,parts",
+        [((), ()), ((1.0,), ()), ((1.0,), (("a", 1), ("b", 0))), ((1.0, 2.0), (("a", 3), ("b", -1)))],
+        ids=["empty", "no-parts", "empty-part", "negative-part"],
+    )
+    def test_rejects_malformed_parts(self, values, parts):
+        with pytest.raises(ValueError):
+            MergedSample(values, parts)
 
 
 class TestCommonTest:

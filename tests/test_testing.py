@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from uncstat import (
     AcceptanceInterval,
+    DegenerateSampleError,
     NormalUncertain,
+    NumericError,
     PopulationSample,
     SortedSample,
     TestDecision,
@@ -77,6 +79,16 @@ class TestAcceptanceInterval:
         d = NormalUncertain(1.5, 2.5)
         iv = AcceptanceInterval(1.5, 2.5, 0.05)
         assert (iv.lower, iv.upper) == (quantile(d, 0.025), quantile(d, 0.975))
+
+    @pytest.mark.parametrize(
+        "e,sigma,problem",
+        [(1e9, 1e-12, "empty"), (0.0, 1e308, "not finite"), (-1e308, 1e308, "not finite")],
+    )
+    def test_unrepresentable_band_is_a_numeric_error(self, e, sigma, problem):
+        with pytest.raises(NumericError, match=problem) as raised:
+            AcceptanceInterval(e, sigma, 0.05)
+        message = str(raised.value)
+        assert f"e={e!r}" in message and f"sigma={sigma!r}" in message and "0.05" in message
 
 
 class TestCountOutliers:
@@ -327,6 +339,19 @@ class TestFitAndVerify:
         assert decision.threshold == 1
         assert decision.outlier_count == 0
         assert not decision.rejected
+
+    @pytest.mark.parametrize(
+        "sample,error",
+        [
+            (PopulationSample("big", (1e200, 2e200, 3e200)), NumericError),
+            (PopulationSample("flat", (2.0, 2.0)), DegenerateSampleError),
+            (PopulationSample("narrow", (1e9, 1e9 + 1.0), known_sigma=1e-12), NumericError),
+        ],
+        ids=["overflow", "degenerate", "empty-band"],
+    )
+    def test_numeric_errors_name_the_population(self, sample, error):
+        with pytest.raises(error, match=f"^population '{sample.id}': "):
+            fit_and_verify(sample, 0.05)
 
     def test_respects_pinned_parameters(self):
         sample = PopulationSample("p", (1.0, 3.0), known_e=0.0, known_sigma=None)
