@@ -39,6 +39,7 @@ from .udist import NormalUncertain, check_level
 
 __all__ = [
     "ParameterCase",
+    "CASE_PINS",
     "PairwiseDecision",
     "HomogeneityResult",
     "ufwer",
@@ -63,36 +64,34 @@ class ParameterCase(Enum):
     BOTH_UNKNOWN = "both-unknown"
 
 
+# What every population pins in each case, as (location pinned, scale
+# pinned).  A cross-test keeps these parameters of the tested data and takes
+# the others from the other population's fit.
+CASE_PINS = {
+    ParameterCase.MEANS_UNKNOWN: (False, True),
+    ParameterCase.SIGMAS_UNKNOWN: (True, False),
+    ParameterCase.BOTH_UNKNOWN: (False, False),
+}
+
+
+def describe_pins(pins: tuple[bool, bool]) -> str:
+    """Name the parameters a (location pinned, scale pinned) pattern pins."""
+    return " and ".join(n for n, p in zip(("the location", "the scale"), pins) if p) or "nothing"
+
+
 def check_case(case: ParameterCase, samples: Iterable[PopulationSample]) -> None:
-    """Raise ConfigurationError unless every sample matches ``case``.
+    """Raise ConfigurationError unless every sample pins what ``case`` pins.
 
     The three cases are homogeneous across populations: pinning a parameter
     for some populations but not others has no defined cross-test.
     """
+    pins = CASE_PINS[case]
     for s in samples:
-        if case is ParameterCase.MEANS_UNKNOWN:
-            if s.known_sigma is None:
-                raise ConfigurationError(
-                    f"population {s.id!r}: testing locations requires a known scale"
-                )
-            if s.known_e is not None:
-                raise ConfigurationError(
-                    f"population {s.id!r}: location is pinned but declared unknown"
-                )
-        elif case is ParameterCase.SIGMAS_UNKNOWN:
-            if s.known_e is None:
-                raise ConfigurationError(
-                    f"population {s.id!r}: testing scales requires a known location"
-                )
-            if s.known_sigma is not None:
-                raise ConfigurationError(
-                    f"population {s.id!r}: scale is pinned but declared unknown"
-                )
-        else:
-            if s.known_e is not None or s.known_sigma is not None:
-                raise ConfigurationError(
-                    f"population {s.id!r}: no parameter may be pinned when both are tested"
-                )
+        if s.pins != pins:
+            raise ConfigurationError(
+                f"population {s.id!r} pins {describe_pins(s.pins)}, but in the "
+                f"{case.value} case every population pins {describe_pins(pins)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,22 +135,15 @@ def ufwer(alphas: Sequence[float]) -> float:
 
 
 def _reference(
-    case: ParameterCase, pop_i: PopulationSample, fit_j: NormalUncertain
+    pins: tuple[bool, bool], pop_i: PopulationSample, fit_j: NormalUncertain
 ) -> tuple[float, float]:
-    """Location and scale of the distribution ``pop_i``'s data is tested against."""
-    if case is ParameterCase.MEANS_UNKNOWN:
-        if pop_i.known_sigma is None:
-            raise ConfigurationError(
-                f"population {pop_i.id!r}: cross-testing locations requires its known scale"
-            )
-        return fit_j.e, pop_i.known_sigma
-    if case is ParameterCase.SIGMAS_UNKNOWN:
-        if pop_i.known_e is None:
-            raise ConfigurationError(
-                f"population {pop_i.id!r}: cross-testing scales requires its known location"
-            )
-        return pop_i.known_e, fit_j.sigma
-    return fit_j.e, fit_j.sigma
+    """Reference ``pop_i``'s data is tested against: the parameters ``pins``
+    marks (a :data:`CASE_PINS` pattern) from ``pop_i``, the others from ``fit_j``."""
+    e = pop_i.known_e if pins[0] else fit_j.e
+    sigma = pop_i.known_sigma if pins[1] else fit_j.sigma
+    if e is None or sigma is None:
+        raise ConfigurationError(f"population {pop_i.id!r} lacks a parameter its case pins")
+    return e, sigma
 
 
 def cross_interval(
@@ -166,7 +158,7 @@ def cross_interval(
     tested parameter comes from ``fit_j`` while any pinned parameter of
     ``pop_i`` is kept, so only the hypothesised equality is under test.
     """
-    return acceptance_interval(NormalUncertain(*_reference(case, pop_i, fit_j)), alpha)
+    return acceptance_interval(NormalUncertain(*_reference(CASE_PINS[case], pop_i, fit_j)), alpha)
 
 
 class CrossTests:
@@ -178,9 +170,8 @@ class CrossTests:
     population of ``group`` meets ``n - 1`` bands; one that meets more than
     ``log2`` of its size is sorted once and counted by bisection
     (:class:`~uncstat.testing.SortedSample`), the others by the linear scan
-    of :func:`~uncstat.testing.count_outliers`, which costs less for them.
-    Sorted samples are found by population id, so :meth:`decide` must be
-    given the populations of ``group`` themselves.  Decisions equal
+    of :func:`~uncstat.testing.count_outliers`, which costs less for them;
+    any sample that is not one of ``group`` is scanned.  Decisions equal
     ``test_against_interval(pop_i, cross_interval(...))``.
     """
 
@@ -189,13 +180,16 @@ class CrossTests:
     ) -> None:
         self.case = case
         self.alpha = check_level(alpha)
+        self._pins = CASE_PINS[case]
         self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
         meets = len(group) - 1
-        self._sorted = {s.id: SortedSample(s) for s in group if meets > math.log2(s.size)}
+        # Keyed by object identity; each entry holds its sample, so no other
+        # sample can take that identity while the table lives.
+        self._sorted = {id(s): (s, SortedSample(s)) for s in group if meets > math.log2(s.size)}
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
-        key = _reference(self.case, pop_i, fit_j)
+        key = _reference(self._pins, pop_i, fit_j)
         band = self._bands.get(key)
         if band is None:
             band = self._bands[key] = acceptance_interval(NormalUncertain(*key), self.alpha)
@@ -204,33 +198,26 @@ class CrossTests:
     def decide(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> TestDecision:
         """Test ``pop_i``'s data against the band built from ``fit_j``."""
         band = self.band(pop_i, fit_j)
-        view = self._sorted.get(pop_i.id)
-        if view is None:
+        entry = self._sorted.get(id(pop_i))
+        if entry is None:
             return test_against_interval(pop_i, band)
-        return TestDecision(band, view.outliers(band), pop_i.size)
+        return TestDecision(band, entry[1].outliers(band), pop_i.size)
 
 
 def pairwise_test(
-    case: ParameterCase,
+    tests: CrossTests,
     pop_i: PopulationSample,
     pop_j: PopulationSample,
     fit_i: NormalUncertain,
     fit_j: NormalUncertain,
-    alpha: float,
-    *,
-    tests: CrossTests | None = None,
 ) -> PairwiseDecision:
     """Symmetric cross-test of a pair: i's data against j's fit and vice versa.
 
-    The per-population self-tests are not repeated here; they are run once
-    per population by :func:`~uncstat.testing.fit_and_verify`.  ``tests``
-    shares bands and sorted samples across the pairs of one group; it must
-    have been built for the same case and level.
+    ``tests`` carries the case and level and shares bands and sorted samples
+    across the pairs of one group.  The per-population self-tests are not
+    repeated here; they are run once per population by
+    :func:`~uncstat.testing.fit_and_verify`.
     """
-    if tests is None:
-        tests = CrossTests(case, alpha)
-    elif (tests.case, tests.alpha) != (case, alpha):
-        raise ValueError("cross-tests were built for another case or level")
     return PairwiseDecision(
         i=pop_i.id,
         j=pop_j.id,
@@ -252,7 +239,6 @@ def homogeneity_test(
     that failed its own self-test stays in the pairwise stage; callers
     should surface the failed self-test as a model-adequacy warning.
     """
-    alpha = check_level(alpha)
     if len(group) < 2:
         raise ValueError("homogeneity requires at least two populations")
     ids = [s.id for s, _ in group]
@@ -260,9 +246,9 @@ def homogeneity_test(
         raise ValueError("population ids must be unique")
     check_case(case, (s for s, _ in group))
 
-    tests = CrossTests(case, alpha, [s for s, _ in group])
+    tests = CrossTests(case, alpha, [s for s, _ in group])  # validates the level
     pairwise = tuple(
-        pairwise_test(case, a, b, fit_a, fit_b, alpha, tests=tests)
+        pairwise_test(tests, a, b, fit_a, fit_b)
         for (a, fit_a), (b, fit_b) in combinations(group, 2)
     )
     # Every component test runs at alpha, so by ufwer the family-wise level

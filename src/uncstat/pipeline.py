@@ -18,11 +18,13 @@ from typing import Any, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .multi import (
+    CASE_PINS,
     CrossTests,
     HomogeneityResult,
     PairwiseDecision,
     ParameterCase,
     check_case,
+    describe_pins,
     homogeneity_test,
 )
 from .pooling import CommonCase, CommonTestResult, common_test, merge_group
@@ -34,7 +36,7 @@ from .testing import (
     band_quantiles,
     fit_and_verify,
 )
-from .udist import NormalUncertain, check_level
+from .udist import NormalUncertain
 
 __all__ = [
     "PopulationConfig",
@@ -294,22 +296,18 @@ def ingest(
 
 
 def resolve_case(samples: Sequence[PopulationSample], config: RunConfig) -> ParameterCase:
-    """Pick the parameter case from config, or infer it from pinned parameters."""
+    """The case from config, checked against the data, or else the one case
+    whose pins every sample shares."""
     if config.case is not None:
         check_case(config.case, samples)
         return config.case
-    has_e = [s.known_e is not None for s in samples]
-    has_sigma = [s.known_sigma is not None for s in samples]
-    if all(has_sigma) and not any(has_e):
-        return ParameterCase.MEANS_UNKNOWN
-    if all(has_e) and not any(has_sigma):
-        return ParameterCase.SIGMAS_UNKNOWN
-    if not any(has_e) and not any(has_sigma):
-        return ParameterCase.BOTH_UNKNOWN
+    patterns = {s.pins for s in samples}
+    for case, pins in CASE_PINS.items():
+        if patterns == {pins}:
+            return case
     raise ConfigurationError(
-        "cannot infer the parameter case: pin scales for every population "
-        "(locations unknown), locations for every population (scales unknown), "
-        "or nothing (both unknown)"
+        "cannot infer the parameter case: every population must pin the same parameters, one of: "
+        + ", ".join(f"{describe_pins(p)} ({c.value})" for c, p in CASE_PINS.items())
     )
 
 
@@ -370,7 +368,7 @@ def run_pipeline(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not samples:
         raise ValueError("at least one population is required")
-    alpha = check_level(config.alpha)
+    alpha = config.alpha
     case = resolve_case(samples, config)
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
@@ -405,7 +403,8 @@ def run_pipeline(
                 "test reduces to its self-consistency check"
             )
         common_case = config.common_case if config.common_case is not None else _AUTO_COMMON[case]
-        group = [(s, fit) for s, fit in fitted if s.id in set(selected)]
+        chosen = set(selected)
+        group = [(s, fit) for s, fit in fitted if s.id in chosen]
         common = common_test(common_case, group, alpha, theta0=config.theta0_override)
         warnings.extend(common.diagnostics)
 
@@ -577,6 +576,7 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
             acceptance_interval(fit, alpha), entry["self_test_outliers"], sample.size
         )
         populations.append(PopulationReport(sample=sample, fit=fit, self_test=self_test))
+    check_case(case, (p.sample for p in populations))
     by_id = {p.sample.id: p for p in populations}
     bands = CrossTests(case, alpha)
 
@@ -685,16 +685,10 @@ def _render_text(report: RunReport) -> str:
 
     if report.homogeneity is not None:
         hom = report.homogeneity
-        intervals: dict[tuple[str, str], AcceptanceInterval] = {}
-        counts: dict[tuple[str, str], int] = {}
-        for p in report.populations:
-            intervals[(p.sample.id, p.sample.id)] = p.self_test.interval
-            counts[(p.sample.id, p.sample.id)] = p.self_test.outlier_count
+        intervals = {(p.sample.id, p.sample.id): p.self_test.interval for p in report.populations}
         for pw in hom.pairwise:
             intervals[(pw.i, pw.j)] = pw.decision_i_vs_j.interval
             intervals[(pw.j, pw.i)] = pw.decision_j_vs_i.interval
-            counts[(pw.i, pw.j)] = pw.decision_i_vs_j.outlier_count
-            counts[(pw.j, pw.i)] = pw.decision_j_vs_i.outlier_count
         ordered = [p.sample.id for p in report.populations]
 
         lines += ["acceptance intervals (data rows vs parameter sources)", "-" * 53]

@@ -58,6 +58,11 @@ class PopulationSample:
     def size(self) -> int:
         return len(self.values)
 
+    @property
+    def pins(self) -> tuple[bool, bool]:
+        """Whether the location and the scale are pinned."""
+        return self.known_e is not None, self.known_sigma is not None
+
 
 @dataclass(frozen=True)
 class AcceptanceInterval:
@@ -96,10 +101,6 @@ class AcceptanceInterval:
             )
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    def contains(self, z: float) -> bool:
-        """Boundary values count as inside: the defining inequalities are strict."""
-        return self.lower <= z <= self.upper
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import pytest
 import uncstat as u
 from uncstat import (
     CommonCase,
+    CrossTests,
     NormalUncertain,
     ParameterCase,
     PopulationSample,
@@ -267,8 +268,9 @@ def test_criterion_8_property_suites():
                 pops.append(PopulationSample(f"p{k + 1}", tuple(v / 1000.0 for v in vals)))
             fits = {p.id: fit_moments(p.values) for p in pops}
             a, b = rng.sample(pops, 2)
-            fwd = pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fits[a.id], fits[b.id], 0.05)
-            rev = pairwise_test(ParameterCase.BOTH_UNKNOWN, b, a, fits[b.id], fits[a.id], 0.05)
+            tests = lambda: CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05)
+            fwd = pairwise_test(tests(), a, b, fits[a.id], fits[b.id])
+            rev = pairwise_test(tests(), b, a, fits[b.id], fits[a.id])
             assert fwd.homogeneous == rev.homogeneous
             assert fwd.decision_i_vs_j == rev.decision_j_vs_i
 

@@ -38,6 +38,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"case": "nonsense"}), encoding="utf-8")
         assert run(["--data", data, "--config", cfg]) == 2
 
+    def test_case_contradicting_pins_is_two(self, field_paths, tmp_path, capsys):
+        data, _ = field_paths  # toothmarks pins nothing
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"case": "sigmas-unknown"}), encoding="utf-8")
+        assert run(["--data", data, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "population '1'" in err and "sigmas-unknown" in err and "Traceback" not in err
+
     def test_bad_alpha_is_two(self, field_paths, capsys):
         data, config = field_paths
         assert run(["--data", data, "--config", config, "--alpha", "1.5"]) == 2

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +25,7 @@ from uncstat import (
     single_test,
     ufwer,
 )
+from uncstat.multi import check_case
 
 
 def grid_values(min_size=3, max_size=12):
@@ -31,6 +33,21 @@ def grid_values(min_size=3, max_size=12):
     return st.lists(
         st.integers(-10000, 10000), min_size=min_size, max_size=max_size, unique=True
     ).map(lambda xs: tuple(x / 1000.0 for x in xs))
+
+
+# Every pin pattern a population can have, and the one each case asks of all
+# populations: the tested parameters are unpinned, the others pinned.
+PIN_PATTERNS = {
+    "none": {},
+    "location": {"known_e": 0.5},
+    "scale": {"known_sigma": 2.0},
+    "both": {"known_e": 0.5, "known_sigma": 2.0},
+}
+CASE_PATTERN = {
+    ParameterCase.MEANS_UNKNOWN: "scale",
+    ParameterCase.SIGMAS_UNKNOWN: "location",
+    ParameterCase.BOTH_UNKNOWN: "none",
+}
 
 
 def make_pairwise(i, j, homogeneous):
@@ -116,12 +133,47 @@ class TestCrossInterval:
             cross_interval(ParameterCase.SIGMAS_UNKNOWN, samples[0], fit, 0.05)
 
 
+class TestCaseTable:
+    @pytest.mark.parametrize("pattern", list(PIN_PATTERNS))
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    def test_check_case_rejects_exactly_the_other_patterns(self, case, pattern):
+        matching = PopulationSample("m", (1.0, 2.0, 4.0), **PIN_PATTERNS[CASE_PATTERN[case]])
+        sample = PopulationSample("s", (1.0, 2.0, 4.0), **PIN_PATTERNS[pattern])
+        if pattern == CASE_PATTERN[case]:
+            check_case(case, [matching, sample])
+            return
+        with pytest.raises(ConfigurationError, match="population 's'") as raised:
+            check_case(case, [matching, sample])
+        assert case.value in str(raised.value)
+
+    # The reference of a cross-test, written out case by case.
+    REFERENCE = {
+        ParameterCase.MEANS_UNKNOWN: lambda pop, fit: (fit.e, pop.known_sigma),
+        ParameterCase.SIGMAS_UNKNOWN: lambda pop, fit: (pop.known_e, fit.sigma),
+        ParameterCase.BOTH_UNKNOWN: lambda pop, fit: (fit.e, fit.sigma),
+    }
+
+    @pytest.mark.parametrize("pattern", list(PIN_PATTERNS))
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    def test_cross_interval_is_the_composite_reference(self, case, pattern):
+        pop = PopulationSample("p", (1.0, 2.0, 4.0), **PIN_PATTERNS[pattern])
+        fit = NormalUncertain(-3.0, 0.25)
+        e, sigma = self.REFERENCE[case](pop, fit)
+        if e is None or sigma is None:
+            with pytest.raises(ConfigurationError, match="population 'p'"):
+                cross_interval(case, pop, fit, 0.05)
+            return
+        band = acceptance_interval(NormalUncertain(e, sigma), 0.05)
+        assert cross_interval(case, pop, fit, 0.05) == band
+        assert CrossTests(case, 0.05).band(pop, fit) == band
+
+
 class TestPairwiseTest:
     def test_example2_pair_1_2_differs(self, example2):
         samples, _ = example2
         fits = [fit_moments(s.values, s.known_e, s.known_sigma) for s in samples]
         pair = pairwise_test(
-            ParameterCase.MEANS_UNKNOWN, samples[0], samples[1], fits[0], fits[1], 0.05
+            CrossTests(ParameterCase.MEANS_UNKNOWN, 0.05), samples[0], samples[1], fits[0], fits[1]
         )
         assert pair.decision_i_vs_j.interval.lower == pytest.approx(3.232, abs=2e-3)
         assert pair.decision_i_vs_j.interval.upper == pytest.approx(7.271, abs=2e-3)
@@ -134,7 +186,7 @@ class TestPairwiseTest:
         samples, _ = example1
         fits = [fit_moments(s.values, s.known_e, s.known_sigma) for s in samples]
         pair = pairwise_test(
-            ParameterCase.SIGMAS_UNKNOWN, samples[1], samples[2], fits[1], fits[2], 0.05
+            CrossTests(ParameterCase.SIGMAS_UNKNOWN, 0.05), samples[1], samples[2], fits[1], fits[2]
         )
         assert pair.decision_i_vs_j.outlier_count == 2
         assert pair.decision_i_vs_j.threshold == 3
@@ -146,7 +198,7 @@ class TestPairwiseTest:
         samples, _ = toothmarks
         s = samples[0]
         fit = fit_moments(s.values)
-        pair = pairwise_test(ParameterCase.BOTH_UNKNOWN, s, s, fit, fit, 0.05)
+        pair = pairwise_test(CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05), s, s, fit, fit)
         self_ok = not single_test(s, fit, 0.05).rejected
         assert pair.homogeneous == self_ok
 
@@ -159,8 +211,9 @@ class TestPairwiseTest:
         a = PopulationSample("a", a_vals)
         b = PopulationSample("b", b_vals)
         fa, fb = fit_moments(a.values), fit_moments(b.values)
-        fwd = pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fa, fb, alpha)
-        rev = pairwise_test(ParameterCase.BOTH_UNKNOWN, b, a, fb, fa, alpha)
+        tests = lambda: CrossTests(ParameterCase.BOTH_UNKNOWN, alpha)
+        fwd = pairwise_test(tests(), a, b, fa, fb)
+        rev = pairwise_test(tests(), b, a, fb, fa)
         assert fwd.decision_i_vs_j == rev.decision_j_vs_i
         assert fwd.decision_j_vs_i == rev.decision_i_vs_j
         assert fwd.homogeneous == rev.homogeneous
@@ -305,14 +358,33 @@ class TestCrossTests:
         assert band == cross_interval(ParameterCase.MEANS_UNKNOWN, samples[2], fit, 0.05)
         assert tests.band(samples[2], fit) is band
 
-    def test_pairwise_test_rejects_tests_for_another_level(self, toothmarks):
+    def test_homogeneity_calls_pairwise_test_once_per_pair(self, toothmarks):
         samples, _ = toothmarks
-        (a, fa), (b, fb) = fitted(samples[:2])
-        tests = CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, [a, b])
-        with pytest.raises(ValueError, match="another case or level"):
-            pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fa, fb, 0.1, tests=tests)
-        shared = pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fa, fb, 0.05, tests=tests)
-        assert shared == pairwise_test(ParameterCase.BOTH_UNKNOWN, a, b, fa, fb, 0.05)
+        calls = Counting(uncstat.multi.pairwise_test)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uncstat.multi, "pairwise_test", calls)
+            homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
+        assert calls.calls == comb(len(samples), 2)
+
+    def test_a_sample_outside_the_group_is_scanned(self):
+        # Four populations of four points: 3 > log2(4), so each is sorted.
+        group = [PopulationSample(pid, (1.0, 2.0, 3.0, 4.0)) for pid in "abcd"]
+        case = ParameterCase.BOTH_UNKNOWN
+        tests = CrossTests(case, 0.05, group)
+        stranger = PopulationSample("a", (5.0, 9.0, 7.0, 8.0))  # a's id, other values
+        fit_s, fit_b = fit_moments(stranger.values), fit_moments(group[1].values)
+        scans = Counting(uncstat.testing.count_outliers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uncstat.testing, "count_outliers", scans)
+            pair = pairwise_test(tests, stranger, group[1], fit_s, fit_b)
+        assert scans.calls == 1
+        assert pair.decision_i_vs_j.outlier_indices == (1, 2, 3, 4)
+        assert pair.decision_i_vs_j == uncstat.testing.test_against_interval(
+            stranger, cross_interval(case, stranger, fit_b, 0.05)
+        )
+        assert pair.decision_j_vs_i == uncstat.testing.test_against_interval(
+            group[1], cross_interval(case, group[1], fit_s, 0.05)
+        )
 
 
 class TestHomogeneousGroups:

@@ -20,6 +20,7 @@ from uncstat import (
     RunConfig,
 )
 from uncstat.pipeline import MODES, _fmt3, config_from_dict, config_to_dict
+from test_multi import CASE_PATTERN, PIN_PATTERNS
 
 
 def write(tmp_path, name, text):
@@ -293,6 +294,20 @@ class TestResolveCase:
         with pytest.raises(ConfigurationError):
             u.resolve_case(samples, RunConfig())
 
+    @pytest.mark.parametrize("first", list(PIN_PATTERNS))
+    @pytest.mark.parametrize("second", list(PIN_PATTERNS))
+    def test_infers_the_one_case_all_samples_match(self, first, second):
+        samples = [
+            PopulationSample(pid, (1.0, 2.0, 4.0), **PIN_PATTERNS[pattern])
+            for pid, pattern in (("1", first), ("2", second))
+        ]
+        matching = [case for case, pattern in CASE_PATTERN.items() if first == second == pattern]
+        if matching:
+            assert u.resolve_case(samples, RunConfig()) is matching[0]
+        else:
+            with pytest.raises(ConfigurationError, match="cannot infer"):
+                u.resolve_case(samples, RunConfig())
+
     def test_explicit_case_must_match_data(self, example1):
         samples, _ = example1
         with pytest.raises(ConfigurationError):
@@ -487,6 +502,7 @@ class TestReportSerialisation:
                 **obj,
                 "common_test": {**obj["common_test"], "theta0": {"e": 2.5, "sigma": 1e308}},
             },
+            lambda obj: {**obj, "case": "means-unknown", "homogeneity": None},
         ],
         ids=[
             "missing-populations",
@@ -502,6 +518,7 @@ class TestReportSerialisation:
             "boolean-reference-scale",
             "empty-self-test-band",
             "infinite-pooled-band",
+            "case-contradicts-pins",
         ],
     )
     def test_malformed_document(self, toothmarks_report, corrupt):
