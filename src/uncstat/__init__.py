@@ -45,7 +45,6 @@ from .pooling import (
 from .testing import (
     AcceptanceInterval,
     PopulationSample,
-    SortedSample,
     TestDecision,
     acceptance_interval,
     band_quantiles,
@@ -81,7 +80,6 @@ __all__ = [
     "PopulationSample",
     "AcceptanceInterval",
     "TestDecision",
-    "SortedSample",
     "band_quantiles",
     "acceptance_interval",
     "count_outliers",

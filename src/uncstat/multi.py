@@ -11,23 +11,27 @@ the component levels, all component tests run at the same level as the
 overall test.
 
 The pairwise stage shares its work across pairs (:class:`CrossTests`): each
-band is built once per reference distribution, and a population that meets
-more bands than log2 of its size is sorted once and counted by bisection.
+band is built once per reference distribution, and each population keeps one
+sorted view of its candidates, the values outside the intersection of the
+bands it meets, so a band is counted by bisecting the candidates alone.
+Homogeneous groups are enumerated on neighbour bitsets.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError
 from .testing import (
     AcceptanceInterval,
     PopulationSample,
-    SortedSample,
+    Record,
     TestDecision,
     acceptance_interval,
     test_against_interval,
@@ -73,6 +77,9 @@ CASE_PINS = {
     ParameterCase.BOTH_UNKNOWN: (False, False),
 }
 
+# Populations with their fits, as the pairwise stage takes them.
+FittedGroup = Sequence[tuple[PopulationSample, NormalUncertain]]
+
 
 def describe_pins(pins: tuple[bool, bool]) -> str:
     """Name the parameters a (location pinned, scale pinned) pattern pins."""
@@ -94,18 +101,21 @@ def check_case(case: ParameterCase, samples: Iterable[PopulationSample]) -> None
             )
 
 
-@dataclass(frozen=True)
-class PairwiseDecision:
+class PairwiseDecision(
+    namedtuple("PairwiseDecision", "i j decision_i_vs_j decision_j_vs_i homogeneous"), Record
+):
     """Cross-test of two populations; homogeneous iff neither direction rejects."""
 
-    i: str
-    j: str
-    decision_i_vs_j: TestDecision
-    decision_j_vs_i: TestDecision
+    __slots__ = ()
 
-    @property
-    def homogeneous(self) -> bool:
-        return not (self.decision_i_vs_j.rejected or self.decision_j_vs_i.rejected)
+    def __new__(
+        cls, i: str, j: str, decision_i_vs_j: TestDecision, decision_j_vs_i: TestDecision
+    ) -> PairwiseDecision:
+        homogeneous = not (decision_i_vs_j.rejected or decision_j_vs_i.rejected)
+        return tuple.__new__(cls, (i, j, decision_i_vs_j, decision_j_vs_i, homogeneous))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
 
 
 @dataclass(frozen=True)
@@ -166,26 +176,37 @@ class CrossTests:
 
     Bands are kept in a table keyed by their reference distribution, so each
     is built once: in the both-unknown case i's data against j's fit uses
-    j's own band, and ``n`` bands serve all ``n(n-1)`` cross-tests.  Each
-    population of ``group`` meets ``n - 1`` bands; one that meets more than
-    ``log2`` of its size is sorted once and counted by bisection
-    (:class:`~uncstat.testing.SortedSample`), the others by the linear scan
-    of :func:`~uncstat.testing.count_outliers`, which costs less for them;
-    any sample that is not one of ``group`` is scanned.  Decisions equal
+    j's own band, and ``n`` bands serve all ``n(n-1)`` cross-tests.
+
+    ``group`` holds ``(sample, fit)`` pairs.  Each member meets one band per
+    other member, and a value inside their intersection ``[lo, hi]`` is
+    inside every one of them; so the member keeps only its candidates, the
+    values outside ``[lo, hi]``, sorted with their 1-based positions.  A band
+    that contains ``[lo, hi]`` is counted over the candidates by two
+    bisections.  Any other band, and any sample that is not a member, is
+    counted by the linear scan of :func:`~uncstat.testing.count_outliers`,
+    the reference definition.  Decisions equal
     ``test_against_interval(pop_i, cross_interval(...))``.
     """
 
-    def __init__(
-        self, case: ParameterCase, alpha: float, group: Sequence[PopulationSample] = ()
-    ) -> None:
+    def __init__(self, case: ParameterCase, alpha: float, group: FittedGroup = ()) -> None:
         self.case = case
         self.alpha = check_level(alpha)
         self._pins = CASE_PINS[case]
         self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
-        meets = len(group) - 1
         # Keyed by object identity; each entry holds its sample, so no other
         # sample can take that identity while the table lives.
-        self._sorted = {id(s): (s, SortedSample(s)) for s in group if meets > math.log2(s.size)}
+        self._views: dict[int, tuple] = {}
+        fits = [fit for _, fit in group]
+        for k, (sample, _) in enumerate(group):
+            bands = [self.band(sample, fit) for fit in fits[:k] + fits[k + 1 :]]
+            lo = max([b.lower for b in bands], default=math.inf)
+            hi = min([b.upper for b in bands], default=-math.inf)
+            values = sample.values
+            order = [p for p, z in enumerate(values) if z < lo or z > hi]
+            order.sort(key=values.__getitem__)
+            candidates = [values[p] for p in order]
+            self._views[id(sample)] = (sample, lo, hi, candidates, [p + 1 for p in order])
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
@@ -198,10 +219,17 @@ class CrossTests:
     def decide(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> TestDecision:
         """Test ``pop_i``'s data against the band built from ``fit_j``."""
         band = self.band(pop_i, fit_j)
-        entry = self._sorted.get(id(pop_i))
-        if entry is None:
-            return test_against_interval(pop_i, band)
-        return TestDecision(band, entry[1].outliers(band), pop_i.size)
+        view = self._views.get(id(pop_i))
+        if view is not None:
+            _, lo, hi, candidates, positions = view
+            if band.lower <= lo and hi <= band.upper:
+                # An endpoint value is inside: bisect_left stops before it at
+                # the lower end, bisect_right passes it at the upper end.
+                outliers = positions[: bisect_left(candidates, band.lower)]
+                outliers += positions[bisect_right(candidates, band.upper) :]
+                outliers.sort()
+                return TestDecision(band, tuple(outliers), len(pop_i.values))
+        return test_against_interval(pop_i, band)
 
 
 def pairwise_test(
@@ -213,24 +241,17 @@ def pairwise_test(
 ) -> PairwiseDecision:
     """Symmetric cross-test of a pair: i's data against j's fit and vice versa.
 
-    ``tests`` carries the case and level and shares bands and sorted samples
+    ``tests`` carries the case and level and shares bands and candidate views
     across the pairs of one group.  The per-population self-tests are not
     repeated here; they are run once per population by
     :func:`~uncstat.testing.fit_and_verify`.
     """
     return PairwiseDecision(
-        i=pop_i.id,
-        j=pop_j.id,
-        decision_i_vs_j=tests.decide(pop_i, fit_j),
-        decision_j_vs_i=tests.decide(pop_j, fit_i),
+        pop_i.id, pop_j.id, tests.decide(pop_i, fit_j), tests.decide(pop_j, fit_i)
     )
 
 
-def homogeneity_test(
-    group: Sequence[tuple[PopulationSample, NormalUncertain]],
-    case: ParameterCase,
-    alpha: float,
-) -> HomogeneityResult:
+def homogeneity_test(group: FittedGroup, case: ParameterCase, alpha: float) -> HomogeneityResult:
     """Test whether the unknown parameters of all populations are equal.
 
     Takes each population with its fit (pinned parameters respected, as
@@ -241,21 +262,17 @@ def homogeneity_test(
     """
     if len(group) < 2:
         raise ValueError("homogeneity requires at least two populations")
-    ids = [s.id for s, _ in group]
-    if len(set(ids)) != len(ids):
-        raise ValueError("population ids must be unique")
     check_case(case, (s for s, _ in group))
 
-    tests = CrossTests(case, alpha, [s for s, _ in group])  # validates the level
+    tests = CrossTests(case, alpha, group)  # validates the level
     pairwise = tuple(
         pairwise_test(tests, a, b, fit_a, fit_b)
         for (a, fit_a), (b, fit_b) in combinations(group, 2)
     )
-    # Every component test runs at alpha, so by ufwer the family-wise level
-    # is alpha too.
-    return HomogeneityResult(
-        case=case, alpha=alpha, pairwise=pairwise, groups=homogeneous_groups(ids, pairwise)
-    )
+    # homogeneous_groups rejects repeated ids.  Every component test runs at
+    # alpha, so by ufwer the family-wise level is alpha too.
+    groups = homogeneous_groups([s.id for s, _ in group], pairwise)
+    return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
 
 
 def homogeneous_groups(
@@ -271,47 +288,59 @@ def homogeneous_groups(
     singletons.
     """
     id_list = list(ids)
-    id_set = set(id_list)
-    if len(id_set) != len(id_list):
+    n = len(id_list)
+    index = {pid: k for k, pid in enumerate(id_list)}
+    if len(index) != n:
         raise ValueError("population ids must be unique")
-    seen: set[frozenset[str]] = set()
-    adjacency: dict[str, set[str]] = {i: set() for i in id_list}
+    seen: set[tuple[int, int]] = set()
+    neighbours = [0] * n  # bit b of neighbours[a]: a and b are homogeneous
     for p in pairwise:
-        key = frozenset((p.i, p.j))
-        if len(key) != 2 or not key <= id_set:
+        a, b = index.get(p.i), index.get(p.j)
+        if a is None or b is None or a == b:
             raise ValueError(f"pairwise decision {p.i!r}/{p.j!r} does not match the id list")
+        key = (a, b) if a < b else (b, a)
         if key in seen:
             raise ValueError(f"duplicate pairwise decision for {p.i!r}/{p.j!r}")
         seen.add(key)
         if p.homogeneous:
-            adjacency[p.i].add(p.j)
-            adjacency[p.j].add(p.i)
+            neighbours[a] |= 1 << b
+            neighbours[b] |= 1 << a
     # seen holds distinct pairs of ids, so it covers them all iff its size matches.
-    n = len(id_list)
     if len(seen) != n * (n - 1) // 2:
-        wanted = {frozenset(p) for p in combinations(id_list, 2)}
-        missing = sorted(tuple(sorted(k)) for k in wanted - seen)
+        pairs = combinations(range(n), 2)
+        missing = sorted(tuple(sorted(id_list[k] for k in ab)) for ab in pairs if ab not in seen)
         raise ValueError(f"pairwise decisions missing for pairs: {missing}")
 
-    cliques = _maximal_cliques(adjacency)
-    return tuple(
-        frozenset(c) for c in sorted(cliques, key=lambda c: (-len(c), sorted(c)))
-    )
+    cliques = [sorted(id_list[v] for v in _bits(c)) for c in _maximal_cliques(neighbours)]
+    return tuple(frozenset(c) for c in sorted(cliques, key=lambda c: (-len(c), c)))
 
 
-def _maximal_cliques(adjacency: Mapping[str, set[str]]) -> list[list[str]]:
-    """All maximal cliques, via pivoted recursive expansion, deterministically."""
-    cliques: list[list[str]] = []
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def expand(partial: list[str], candidates: set[str], excluded: set[str]) -> None:
+
+def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
+    """Every maximal clique, as a bitset, of the graph on ``0..n-1`` whose
+    neighbour bitsets are ``neighbours``: Bron–Kerbosch with Tomita's pivot
+    (most neighbours among the candidates) lists each exactly once."""
+    cliques: list[int] = []
+
+    def expand(clique: int, candidates: int, excluded: int) -> None:
         if not candidates and not excluded:
-            cliques.append(sorted(partial))
+            cliques.append(clique)
             return
-        pivot = max(sorted(candidates | excluded), key=lambda v: len(adjacency[v] & candidates))
-        for v in sorted(candidates - adjacency[pivot]):
-            expand(partial + [v], candidates & adjacency[v], excluded & adjacency[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        pivot = max(
+            _bits(candidates | excluded), key=lambda v: (neighbours[v] & candidates).bit_count()
+        )
+        for v in _bits(candidates & ~neighbours[pivot]):
+            bit = 1 << v
+            expand(clique | bit, candidates & neighbours[v], excluded & neighbours[v])
+            candidates &= ~bit
+            excluded |= bit
 
-    expand([], set(adjacency), set())
+    expand(0, (1 << len(neighbours)) - 1, 0)
     return cliques

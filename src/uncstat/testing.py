@@ -10,7 +10,7 @@ hypothesised distribution.  The null is rejected when strictly more than
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,7 +21,6 @@ __all__ = [
     "PopulationSample",
     "AcceptanceInterval",
     "TestDecision",
-    "SortedSample",
     "band_quantiles",
     "acceptance_interval",
     "count_outliers",
@@ -103,21 +102,38 @@ class AcceptanceInterval:
         object.__setattr__(self, "upper", upper)
 
 
-@dataclass(frozen=True)
-class TestDecision:
+class Record(tuple):
+    """Base of the per-test records: immutable tuples with named fields, equal
+    only to a record of the same type with the same values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class TestDecision(
+    namedtuple("TestDecision", "interval outlier_indices sample_size threshold rejected"), Record
+):
     """Outcome of checking ``sample_size`` observations against one acceptance
     interval; the threshold and verdict follow from the outlier positions."""
 
-    interval: AcceptanceInterval
-    outlier_indices: tuple[int, ...]
-    sample_size: int
-    threshold: int = field(init=False)
-    rejected: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        threshold = rejection_threshold(self.sample_size, self.interval.alpha)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "rejected", len(self.outlier_indices) >= threshold)
+    def __new__(
+        cls, interval: AcceptanceInterval, outlier_indices: tuple[int, ...], sample_size: int
+    ) -> TestDecision:
+        threshold = rejection_threshold(sample_size, interval.alpha)
+        rejected = len(outlier_indices) >= threshold
+        return tuple.__new__(cls, (interval, outlier_indices, sample_size, threshold, rejected))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]
 
     @property
     def outlier_count(self) -> int:
@@ -153,30 +169,6 @@ def count_outliers(sample: PopulationSample, interval: AcceptanceInterval) -> tu
     """1-based positions of observations strictly outside ``interval``, ascending."""
     lower, upper = interval.lower, interval.upper
     return tuple([p for p, z in enumerate(sample.values, start=1) if z < lower or z > upper])
-
-
-class SortedSample:
-    """A sample's values in ascending order with their 1-based positions.
-
-    Sorting costs O(m log m) once; each band is then counted with two
-    bisections instead of a scan of all ``m`` values, which pays once the
-    sample meets more than about ``log2(m)`` bands.
-    """
-
-    __slots__ = ("values", "positions")
-
-    def __init__(self, sample: PopulationSample) -> None:
-        order = sorted(range(sample.size), key=sample.values.__getitem__)
-        self.values = [sample.values[k] for k in order]
-        self.positions = [k + 1 for k in order]
-
-    def outliers(self, interval: AcceptanceInterval) -> tuple[int, ...]:
-        """The positions :func:`count_outliers` gives for the sample."""
-        # Values equal to an endpoint are inside: bisect_left stops before
-        # them at the lower end, bisect_right passes them at the upper end.
-        below = bisect_left(self.values, interval.lower)
-        above = bisect_right(self.values, interval.upper)
-        return tuple(sorted(self.positions[:below] + self.positions[above:]))
 
 
 @lru_cache(maxsize=1024)

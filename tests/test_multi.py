@@ -1,8 +1,10 @@
+import copy
+import pickle
 from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncstat.multi
@@ -303,33 +305,38 @@ class TestCrossTests:
         ParameterCase.BOTH_UNKNOWN: lambda k: {},
     }
 
-    # (populations, smallest and largest size): with n - 1 > log2(m) every
-    # population is sorted, otherwise every one is scanned.
-    SHAPES = {"few-large-scanned": (3, 33, 60), "many-small-sorted": (9, 3, 8)}
+    @classmethod
+    def draw_group(cls, data, case, alpha, locations):
+        """(sample, fit) pairs, one fit per location with a drawn scale.
 
-    @pytest.mark.parametrize("shape", list(SHAPES))
-    @pytest.mark.parametrize("case", list(ParameterCase))
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_homogeneity_matches_the_per_pair_definition(self, case, shape, data):
-        n, low, high = self.SHAPES[shape]
-        samples = []
-        for k in range(n):
-            # Integers on a coarse grid give many ties; the offset makes
-            # some pairs compatible and others not.
-            ints = data.draw(st.lists(st.integers(-30, 30), min_size=low, max_size=high))
-            assume(len(set(ints)) > 1)
-            offset = data.draw(st.integers(0, 4)) * 0.3
-            values = tuple(x / 10 + offset for x in ints)
-            samples.append(PopulationSample(f"p{k}", values, **self.PINNED[case](k)))
-        group = fitted(samples)
-        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        Values come from a coarse grid and from the endpoints of every band
+        the sample meets, so they tie with each other and with the bands.
+        """
+        fits = [NormalUncertain(e, data.draw(st.integers(1, 20)) / 10) for e in locations]
+        group = []
+        for k, fit in enumerate(fits):
+            probe = PopulationSample(f"p{k}", (0.0,), **cls.PINNED[case](k))
+            bands = [cross_interval(case, probe, f, alpha) for m, f in enumerate(fits) if m != k]
+            ends = [x for b in bands for x in (b.lower, b.upper)]
+            grid = st.integers(-30, 30).map(lambda x: x / 10)
+            values = data.draw(st.lists(grid | st.sampled_from(ends), min_size=1, max_size=60))
+            group.append((PopulationSample(probe.id, tuple(values), **cls.PINNED[case](k)), fit))
+        return group
 
+    @staticmethod
+    def intersection(case, alpha, group, k):
+        """``[lo, hi]`` of the bands member ``k`` meets, by the definition."""
+        sample = group[k][0]
+        bands = [cross_interval(case, sample, f, alpha) for m, (_, f) in enumerate(group) if m != k]
+        return max(b.lower for b in bands), min(b.upper for b in bands)
+
+    @staticmethod
+    def assert_matches_the_definition(group, case, alpha):
         scans = Counting(uncstat.testing.count_outliers)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncstat.testing, "count_outliers", scans)
             result = homogeneity_test(group, case, alpha)
-        assert scans.calls == (n * (n - 1) if shape == "few-large-scanned" else 0)
+        assert scans.calls == 0  # every member is counted over its candidates
 
         pairs = list(combinations(group, 2))
         assert len(result.pairwise) == len(pairs)
@@ -341,6 +348,60 @@ class TestCrossTests:
             assert pair.decision_j_vs_i == uncstat.testing.test_against_interval(
                 b, cross_interval(case, b, fit_a, alpha)
             )
+
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_homogeneity_matches_the_per_pair_definition(self, case, data):
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        n = data.draw(st.integers(2, 9))
+        # Locations 0.1 apart give overlapping bands, 10 apart disjoint ones.
+        spread = data.draw(st.sampled_from([0.1, 1.0, 10.0]))
+        locations = [data.draw(st.integers(-3, 3)) * spread for _ in range(n)]
+        self.assert_matches_the_definition(
+            self.draw_group(data, case, alpha, locations), case, alpha
+        )
+
+    # In the sigmas-unknown case every band a sample meets is centred on its
+    # pinned location, so the bands nest and their intersection is never empty.
+    @pytest.mark.parametrize("case", [ParameterCase.MEANS_UNKNOWN, ParameterCase.BOTH_UNKNOWN])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_empty_intersection_makes_every_value_a_candidate(self, case, data):
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        n = data.draw(st.integers(3, 9))
+        group = self.draw_group(data, case, alpha, [20.0 * k for k in range(n)])
+        for k in range(n):
+            lo, hi = self.intersection(case, alpha, group, k)
+            assert lo > hi
+        self.assert_matches_the_definition(group, case, alpha)
+
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_band_not_covering_the_intersection_is_scanned(self, case, data):
+        alpha = 0.05
+        n = data.draw(st.integers(2, 6))
+        locations = [data.draw(st.integers(-3, 3)) / 2 for _ in range(n)]
+        group = self.draw_group(data, case, alpha, locations)
+        tests = CrossTests(case, alpha, group)
+        k = data.draw(st.integers(0, n - 1))
+        sample = group[k][0]
+        lo, hi = self.intersection(case, alpha, group, k)
+        far = NormalUncertain(10.0, 0.05)  # narrower than every member band, or beyond them
+        drawn = NormalUncertain(
+            data.draw(st.integers(-40, 40)) / 10, data.draw(st.integers(1, 30)) / 10
+        )
+        for foreign in (far, drawn):
+            band = cross_interval(case, sample, foreign, alpha)
+            covers = band.lower <= lo and hi <= band.upper
+            assert not (foreign is far and covers)
+            scans = Counting(uncstat.testing.count_outliers)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(uncstat.testing, "count_outliers", scans)
+                decision = tests.decide(sample, foreign)
+            assert scans.calls == (0 if covers else 1)
+            assert decision == uncstat.testing.test_against_interval(sample, band)
 
     def test_both_unknown_builds_one_band_per_population(self, toothmarks):
         samples, _ = toothmarks
@@ -367,23 +428,19 @@ class TestCrossTests:
         assert calls.calls == comb(len(samples), 2)
 
     def test_a_sample_outside_the_group_is_scanned(self):
-        # Four populations of four points: 3 > log2(4), so each is sorted.
-        group = [PopulationSample(pid, (1.0, 2.0, 3.0, 4.0)) for pid in "abcd"]
+        group = fitted([PopulationSample(pid, (1.0, 2.0, 3.0, 4.0)) for pid in "abcd"])
         case = ParameterCase.BOTH_UNKNOWN
         tests = CrossTests(case, 0.05, group)
         stranger = PopulationSample("a", (5.0, 9.0, 7.0, 8.0))  # a's id, other values
-        fit_s, fit_b = fit_moments(stranger.values), fit_moments(group[1].values)
+        fit_b = group[1][1]
         scans = Counting(uncstat.testing.count_outliers)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncstat.testing, "count_outliers", scans)
-            pair = pairwise_test(tests, stranger, group[1], fit_s, fit_b)
+            decision = tests.decide(stranger, fit_b)
         assert scans.calls == 1
-        assert pair.decision_i_vs_j.outlier_indices == (1, 2, 3, 4)
-        assert pair.decision_i_vs_j == uncstat.testing.test_against_interval(
+        assert decision.outlier_indices == (1, 2, 3, 4)
+        assert decision == uncstat.testing.test_against_interval(
             stranger, cross_interval(case, stranger, fit_b, 0.05)
-        )
-        assert pair.decision_j_vs_i == uncstat.testing.test_against_interval(
-            group[1], cross_interval(case, group[1], fit_s, 0.05)
         )
 
 
@@ -434,6 +491,22 @@ class TestHomogeneousGroups:
         with pytest.raises(ValueError):
             homogeneous_groups(ids, pairwise)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_moon_moser_graphs(self, k):
+        # The complement of k disjoint triangles has 3**k maximal cliques,
+        # one vertex from each triangle: the most any graph on 3k vertices
+        # has (Moon & Moser 1965).
+        ids = [f"v{v:02d}" for v in range(3 * k)]
+        pairs = list(combinations(range(3 * k), 2))
+        linked = [u // 3 != v // 3 for u, v in pairs]
+        pairwise = [make_pairwise(ids[u], ids[v], f) for (u, v), f in zip(pairs, linked)]
+        got = homogeneous_groups(ids, pairwise)
+        assert len(got) == len(set(got)) == 3**k
+        assert all(sorted(int(v[1:]) // 3 for v in g) == list(range(k)) for g in got)
+        if k <= 4:
+            edges = {frozenset((ids[u], ids[v])) for (u, v), f in zip(pairs, linked) if f}
+            assert set(got) == brute_force_maximal_cliques(ids, edges)
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, data):
@@ -454,3 +527,42 @@ class TestHomogeneousGroups:
         for ka, kb, ga, gb in zip(keys, keys[1:], got, got[1:]):
             if len(ga) == len(gb):
                 assert ka < kb
+
+
+class TestRecords:
+    @staticmethod
+    def decision(outliers):
+        return TestDecision(acceptance_interval(NormalUncertain(0.0, 1.0), 0.05), outliers, 10)
+
+    def test_compare_by_value_and_type(self):
+        d = self.decision((1,))
+        assert d == self.decision((1,)) and hash(d) == hash(self.decision((1,)))
+        assert d != self.decision(())
+        pair = make_pairwise("a", "b", True)
+        assert pair == make_pairwise("a", "b", True)
+        assert pair != make_pairwise("a", "b", False)
+        for record in (d, pair):
+            plain = tuple(record)
+            assert record != plain and plain != record
+            assert not record == plain and not plain == record
+        assert d != pair
+
+    def test_attributes_cannot_be_assigned(self):
+        d, pair = self.decision((1,)), make_pairwise("a", "b", True)
+        for record, names in (
+            (d, ["interval", "outlier_indices", "sample_size", "threshold", "rejected"]),
+            (pair, ["i", "j", "decision_i_vs_j", "decision_j_vs_i", "homogeneous"]),
+        ):
+            for name in names + ["note"]:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+
+    def test_homogeneous_cannot_be_supplied(self):
+        d = self.decision(())
+        with pytest.raises(TypeError):
+            PairwiseDecision("a", "b", d, d, homogeneous=False)
+
+    def test_copy_and_pickle_keep_the_value(self):
+        pair = PairwiseDecision("a", "b", self.decision((1,)), self.decision(()))
+        for clone in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+            assert clone == pair and type(clone) is PairwiseDecision

@@ -10,7 +10,6 @@ from uncstat import (
     NormalUncertain,
     NumericError,
     PopulationSample,
-    SortedSample,
     TestDecision,
     acceptance_interval,
     band_quantiles,
@@ -124,49 +123,6 @@ class TestCountOutliers:
         sample = PopulationSample("x", tuple(values))
         iv = acceptance_interval(NormalUncertain(e, sigma), alpha)
         assert list(count_outliers(sample, iv)) == brute_force_outside(values, iv.lower, iv.upper)
-
-
-class TestSortedSample:
-    """The bisection count must give exactly the positions of the linear scan."""
-
-    @staticmethod
-    def samples_at_band(iv):
-        """Values drawn from a few points, endpoints included, so ties abound."""
-        span = iv.upper - iv.lower
-        points = [iv.lower, iv.upper, iv.lower - span, iv.upper + span, (iv.lower + iv.upper) / 2]
-        return st.lists(st.sampled_from(points), min_size=1, max_size=60)
-
-    @given(
-        data=st.data(),
-        e=st.integers(-50, 50),
-        sigma=st.integers(1, 40),
-        alpha=st.sampled_from([0.01, 0.05, 0.3]),
-    )
-    def test_agrees_with_linear_scan_on_ties_and_endpoints(self, data, e, sigma, alpha):
-        iv = acceptance_interval(NormalUncertain(e / 10, sigma / 10), alpha)
-        values = data.draw(self.samples_at_band(iv))
-        sample = PopulationSample("x", tuple(values))
-        assert SortedSample(sample).outliers(iv) == count_outliers(sample, iv)
-
-    @given(
-        values=st.lists(st.integers(-20, 20), min_size=1, max_size=80),
-        e=st.integers(-20, 20),
-        sigma=st.integers(1, 20),
-    )
-    def test_one_view_serves_many_bands(self, values, e, sigma):
-        sample = PopulationSample("x", tuple(v / 4 for v in values))
-        view = SortedSample(sample)
-        for shift in range(-3, 4):
-            iv = acceptance_interval(NormalUncertain(e / 4 + shift, sigma / 8), 0.05)
-            assert view.outliers(iv) == count_outliers(sample, iv)
-
-    def test_all_inside_and_all_outside(self):
-        iv = acceptance_interval(NormalUncertain(0.0, 1.0), 0.05)
-        inside = PopulationSample("in", (iv.upper, iv.lower, 0.0, iv.upper, iv.lower))
-        far = (iv.upper + 1, iv.lower - 1)
-        outside = PopulationSample("out", far + far)
-        assert SortedSample(inside).outliers(iv) == count_outliers(inside, iv) == ()
-        assert SortedSample(outside).outliers(iv) == count_outliers(outside, iv) == (1, 2, 3, 4)
 
 
 class TestBandQuantiles:
