@@ -13,8 +13,9 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
+from itertools import chain, compress, count, repeat
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .multi import (
@@ -212,6 +213,8 @@ def load_config(path: str | Path) -> RunConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError("config nests too deeply to read") from None
     return config_from_dict(obj)
 
 
@@ -219,21 +222,82 @@ def load_config(path: str | Path) -> RunConfig:
 # ingestion
 
 
-def _read_columns(data_path: str | Path) -> dict[str, list[float]]:
-    """Each population's values in file order, checked row by row.
+# Characters of whole lines read per block; far below the default csv field
+# limit, so an ordinary block is never handed to csv for its length alone.
+_BLOCK_HINT = 1 << 16
 
-    Rows stream from the file, so no list of every row is held; the default
-    newline mode reads a line break inside a quoted field as ``"\\n"``.
+
+def _read_columns(data_path: str | Path) -> dict[str, list[float]]:
+    """Each population's values in file order, every record checked.
+
+    The file is read in blocks of whole lines, so no list of every row is
+    held.  Plain blocks are converted a column at a time; from the first
+    block that is not plain on, ``csv.reader`` reads the rest of the file
+    record by record.  The default newline mode leaves only ``"\\n"`` in the
+    text, and reads a line break inside a quoted field as ``"\\n"``.
     """
     by_id: dict[str, list[float]] = {}
     with open(data_path, encoding="utf-8-sig") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:
+            raise DataFormatError(f"line 1: {exc}") from None
         if header is None:
             raise DataFormatError("data file is empty")
         if [h.strip() for h in header] != ["population", "value"]:
             raise DataFormatError("line 1: expected header 'population,value'")
-        for lineno, row in enumerate(rows, start=2):
+        lineno = 2
+        while lines := fh.readlines(_BLOCK_HINT):
+            if not _add_plain_block(lines, by_id):
+                _add_rows(csv.reader(chain(lines, fh)), lineno, by_id)
+                break
+            lineno += len(lines)
+    return by_id
+
+
+def _add_plain_block(lines: list[str], by_id: dict[str, list[float]]) -> bool:
+    """Add a block of lines that csv would read as one ``id,value`` record
+    each, column by column.
+
+    A block is plain when it holds no quote, no NUL (which csv rejects on
+    some versions), no more characters than csv's field limit, and exactly
+    one comma on every line.  Returns False, having added nothing, when the
+    block is not plain or any record in it fails a check: csv then reads it
+    again and names the line.
+    """
+    text = "".join(lines)
+    n = len(lines)
+    if (
+        '"' in text
+        or "\0" in text
+        or len(text) > csv.field_size_limit()
+        or text.count(",") != n
+        or not all(map(operator.contains, lines, repeat(",")))
+    ):
+        return False
+    fields = text.replace("\n", ",").split(",")
+    ids = list(map(str.strip, fields[0 : 2 * n : 2]))
+    raw = fields[1 : 2 * n : 2]
+    if "" in ids or "_" in "".join(raw):
+        return False
+    try:
+        values = list(map(float, raw))  # float() strips no more than str.strip()
+    except ValueError:
+        return False
+    if not all(map(math.isfinite, values)):
+        return False
+    starts = [0, *compress(count(1), map(operator.ne, ids[1:], ids)), n]
+    for start, end in zip(starts, starts[1:]):
+        by_id.setdefault(ids[start], []).extend(values[start:end])
+    return True
+
+
+def _add_rows(rows: Iterator[list[str]], first: int, by_id: dict[str, list[float]]) -> None:
+    """Check and add each record of ``rows``; ``first`` is the line the first
+    one is named by."""
+    lineno = first - 1
+    try:
+        for lineno, row in enumerate(rows, start=first):
             if len(row) != 2:
                 if not row:
                     continue  # tolerate blank lines
@@ -254,7 +318,8 @@ def _read_columns(data_path: str | Path) -> dict[str, list[float]]:
             if values is None:
                 values = by_id[pid] = []
             values.append(value)
-    return by_id
+    except csv.Error as exc:  # a field over the limit, or a NUL on some versions
+        raise DataFormatError(f"line {lineno + 1}: {exc}") from None
 
 
 def ingest(
@@ -763,6 +828,8 @@ def parse_report(document: str) -> RunReport:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"report is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DataFormatError("report nests too deeply to read") from None
     return report_from_dict(obj)
 
 

@@ -17,6 +17,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
+from .errors import NumericError
 from .testing import PopulationSample, TestDecision, single_test
 from .udist import NormalUncertain, check_level, fit_moments
 
@@ -102,7 +103,7 @@ def unify_scale(values: Sequence[float], center: float, scale: float) -> tuple[f
     ``(z - center) / scale + center``."""
     if not scale > 0.0:
         raise ValueError(f"scale must be > 0, got {scale!r}")
-    return tuple((v - center) / scale + center for v in values)
+    return tuple([(v - center) / scale + center for v in values])
 
 
 def unify_location(values: Sequence[float], center: float) -> tuple[float, ...]:
@@ -129,9 +130,23 @@ def merge_group(
     case: CommonCase, group: Sequence[tuple[PopulationSample, NormalUncertain]]
 ) -> MergedSample:
     """Adjust each population with its own fitted (or pinned) parameters for
-    the pooled ``case`` and merge the adjusted data in group order."""
+    the pooled ``case`` and merge the adjusted data in group order.
+
+    Raises :class:`~uncstat.errors.NumericError`, naming the population, when
+    rescaling to unit scale takes a value out of double precision."""
     if case is CommonCase.MEAN:
-        return merge([(s.id, unify_scale(s.values, f.e, f.sigma)) for s, f in group])
+        parts = []
+        for s, f in group:
+            scaled = unify_scale(s.values, f.e, f.sigma)
+            # The sum of finite values is finite unless it overflows on its
+            # own; only then is each value looked at.
+            if not math.isfinite(sum(scaled)) and not all(map(math.isfinite, scaled)):
+                raise NumericError(
+                    f"population {s.id!r}: its values rescaled to unit scale "
+                    f"(sigma={f.sigma!r}) overflow double precision"
+                )
+            parts.append((s.id, scaled))
+        return merge(parts)
     if case is CommonCase.SIGMA:
         return merge([(s.id, unify_location(s.values, f.e)) for s, f in group])
     return merge([(s.id, s.values) for s, _ in group])

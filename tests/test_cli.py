@@ -32,6 +32,21 @@ class TestExitCodes:
         assert run(["--data", bad]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_over_long_field_is_two(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("population,value\na,1\n" + "a" * 200_000 + ",2\n", encoding="utf-8")
+        assert run(["--data", data]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: field larger than field limit" in err and "Traceback" not in err
+
+    def test_deeply_nested_config_is_two(self, field_paths, tmp_path, capsys):
+        data, _ = field_paths
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000, encoding="utf-8")
+        assert run(["--data", data, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config nests too deeply" in err and "Traceback" not in err
+
     def test_bad_config_is_two(self, field_paths, tmp_path, capsys):
         data, _ = field_paths
         cfg = tmp_path / "c.json"
@@ -75,6 +90,18 @@ class TestExitCodes:
         assert run(["--data", path]) == 3
         err = capsys.readouterr().err
         assert "population 'b'" in err and "overflow" in err and "Traceback" not in err
+
+    def test_rescale_overflow_is_three(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("population,value\na,-1\na,1\nb,-1\nb,1\n", encoding="utf-8")
+        config = tmp_path / "c.json"
+        pinned = [{"id": pid, "known_sigma": 1e-320} for pid in "ab"]
+        config.write_text(
+            json.dumps({"populations": pinned, "group_selection": ["a", "b"]}), encoding="utf-8"
+        )
+        assert run(["--data", data, "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "population 'a'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "sigma,problem", [(1e-12, "is empty"), (1e308, "is not finite")], ids=["tiny", "huge"]

@@ -19,6 +19,7 @@ from uncstat import (
     PopulationSample,
     RunConfig,
 )
+from uncstat import pipeline
 from uncstat.pipeline import MODES, _fmt3, config_from_dict, config_to_dict
 from test_multi import CASE_PATTERN, PIN_PATTERNS
 
@@ -92,11 +93,18 @@ class TestConfig:
 
 def reference_ingest(data_path):
     """The data half of ingest as it read files before it streamed them:
-    the whole text first, then every row held in one list."""
+    the whole text first, then every row held in one list.  A record csv
+    cannot read ends the list and is reported once the rows before it pass."""
     text = Path(data_path).read_text(encoding="utf-8-sig")
-    rows = list(csv.reader(io.StringIO(text)))
+    rows, unreadable = [], None
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as exc:
+        unreadable = DataFormatError(f"line {len(rows) + 1}: {exc}")
     if not rows:
-        raise DataFormatError("data file is empty")
+        raise unreadable or DataFormatError("data file is empty")
     header = [h.strip() for h in rows[0]]
     if header != ["population", "value"]:
         raise DataFormatError("line 1: expected header 'population,value'")
@@ -120,6 +128,8 @@ def reference_ingest(data_path):
         if not math.isfinite(value):
             raise DataFormatError(f"line {lineno}: value must be finite, got {raw!r}")
         by_id.setdefault(pid, []).append(value)
+    if unreadable:
+        raise unreadable
     if not by_id:
         raise DataFormatError("data file contains a header but no rows")
     return [PopulationSample(id=pid, values=tuple(values)) for pid, values in by_id.items()]
@@ -127,6 +137,7 @@ def reference_ingest(data_path):
 
 _PADDING = st.sampled_from(["", " ", "  ", "\t"])
 _IDS = st.sampled_from(["a", "b", "c d", "x,y", 'q"t', "a\nb", "a\r\nb"])
+_PLAIN_IDS = st.sampled_from(["a", "b", "c d"])
 _ODD_IDS = st.sampled_from(["", " "])
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -137,9 +148,9 @@ _ODD_VALUES = st.sampled_from(
 )
 
 
-def _field(draw, content, clean):
+def _field(draw, content, clean, plain):
     content = draw(_PADDING) + content + draw(_PADDING)
-    if draw(st.booleans()) or any(c in content for c in ',"\r\n'):
+    if (not plain and draw(st.booleans())) or any(c in content for c in ',"\r\n'):
         content = '"%s"' % content.replace('"', '""')
         if not clean and draw(st.integers(0, 4)) == 0:
             content = " " + content  # the quote is then part of the field
@@ -149,12 +160,14 @@ def _field(draw, content, clean):
 @st.composite
 def data_files(draw):
     """CSV text in the data layout with the edge cases the reader must keep:
-    a byte order mark, blank lines, quoted fields with separators, quotes and
-    line breaks, padding and CRLF line ends in every file; digit separators,
-    non-finite and non-numeric values, wrong field counts, empty ids and bad
-    headers in the files that are not drawn clean."""
+    a byte order mark, blank lines, padding and CRLF line ends in every file;
+    quoted fields with separators, quotes and line breaks in the files that
+    are not drawn plain (plain files quote only the fields that need it);
+    digit separators, non-finite and non-numeric values, wrong field counts,
+    empty ids and bad headers in the files that are not drawn clean."""
     clean = draw(st.booleans())
     odd = st.just(False) if clean else st.integers(0, 5).map(lambda k: k == 0)
+    plain = draw(st.booleans())
     headers = ["population,value", " population , value ", '"population","value"']
     lines = [draw(st.sampled_from(headers + ([] if clean else ["pop,val"])))]
     for _ in range(draw(st.integers(0 if not clean else 1, 10))):
@@ -162,14 +175,14 @@ def data_files(draw):
         if kind == "blank":
             lines.append("")
             continue
-        pid = draw(_ODD_IDS if draw(odd) else _IDS)
+        pid = draw(_ODD_IDS if draw(odd) else _PLAIN_IDS if plain else _IDS)
         value = draw(_ODD_VALUES if draw(odd) else _NUMBERS)
         if kind == "one":
-            lines.append(_field(draw, value, clean))
+            lines.append(_field(draw, value, clean, plain))
             continue
-        fields = [_field(draw, pid, clean), _field(draw, value, clean)]
+        fields = [_field(draw, pid, clean, plain), _field(draw, value, clean, plain)]
         if kind == "three":
-            fields.append(_field(draw, draw(_NUMBERS), clean))
+            fields.append(_field(draw, draw(_NUMBERS), clean, plain))
         lines.append(",".join(fields))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
@@ -262,18 +275,52 @@ class TestIngest:
     @example(text='population,value\r\n"a\r\nb",1.0\r\n')  # line break inside quotes
     @example(text="\ufeffpopulation,value\n\na,1_000\n")
     def test_streamed_ingest_matches_whole_file_reference(self, text, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            expected = reference_ingest(path)
-        except DataFormatError as exc:
-            with pytest.raises(DataFormatError) as raised:
-                u.ingest(path)
-            assert str(raised.value) == str(exc)
-        else:
-            samples, config = u.ingest(path)
-            assert samples == expected
-            assert config == RunConfig()
+        assert_ingest_matches_reference(text, tmp_path)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=data_files(), hint=st.integers(1, 64))
+    # comma counts 1, 0 and 2: as many commas as lines, but misaligned columns
+    @example(text="population,value\nx,1\n7\n8,2,3\n", hint=1000)
+    @example(text='population,value\na,1\nb,2\n"c\nd",3\ne,4\n', hint=4)  # quoted line break
+    @example(text="population,value\na,1\nb,2\n\nc,3\n", hint=4)  # blank line
+    @example(text="population,value\na,1\nb,1_000\nc,3\n", hint=1000)
+    @example(text="population,value\na,1\nb,inf\nc,3\n", hint=1000)
+    @example(text="population,value\na,1\na,2", hint=1000)  # no newline at the end
+    @example(text="population,value\n\ta\t,\t1\t\na ,2 \n", hint=1000)  # tab padding
+    @example(text="population,value\na,1\na\0,2\nb,3\n", hint=1000)  # csv rejects NUL on 3.10
+    def test_block_ingest_matches_whole_file_reference(self, text, hint, tmp_path, monkeypatch):
+        """Blocks of a few characters: most files span many blocks, and csv
+        takes over in the middle of a file."""
+        monkeypatch.setattr(pipeline, "_BLOCK_HINT", hint)
+        assert_ingest_matches_reference(text, tmp_path)
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_plain_blocks_skip_the_row_loop(self, tmp_path, monkeypatch, end):
+        def no_rows(*args):
+            raise AssertionError("a plain block went to csv")
+
+        monkeypatch.setattr(pipeline, "_add_rows", no_rows)
+        monkeypatch.setattr(pipeline, "_BLOCK_HINT", 10)
+        rows = [f"{pid}, {k}.5" for pid in ("a", " b", "a") for k in range(7)]
+        path = write(tmp_path, "plain.csv", "population,value\n" + "\n".join(rows) + end)
+        samples, _ = u.ingest(path)
+        assert [(s.id, s.size) for s in samples] == [("a", 14), ("b", 7)]
+        assert samples[0].values[7:9] == (0.5, 1.5)
+
+
+def assert_ingest_matches_reference(text, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_ingest(path)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as raised:
+            u.ingest(path)
+        assert str(raised.value) == str(exc)
+    else:
+        samples, config = u.ingest(path)
+        assert samples == expected
+        assert config == RunConfig()
 
 
 class TestResolveCase:
@@ -439,6 +486,10 @@ class TestReportSerialisation:
             obj["schema_version"] = version
             with pytest.raises(DataFormatError, match="schema"):
                 u.parse_report(json.dumps(obj))
+
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(DataFormatError, match="nests too deeply"):
+            u.parse_report("[" * 100_000)
 
     def test_document_holds_no_derived_values(self, toothmarks_report):
         document = u.emit_report(toothmarks_report, "structured")

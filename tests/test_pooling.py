@@ -8,6 +8,7 @@ from uncstat import (
     CommonCase,
     MergedSample,
     NormalUncertain,
+    NumericError,
     PopulationSample,
     common_test,
     fit_and_verify,
@@ -16,6 +17,7 @@ from uncstat import (
     unify_location,
     unify_scale,
 )
+from uncstat.pooling import merge_group
 
 
 class TestUnifyScale:
@@ -95,6 +97,17 @@ class TestMerge:
         merged = merge([(s.id, s.values) for s in samples])
         assert merged.parts == tuple((s.id, s.size) for s in samples)
         assert merged.values == tuple(v for s in samples for v in s.values)
+
+    def test_rescale_overflow_names_the_population(self):
+        group = [(PopulationSample("a", (-1.0, 1.0)), NormalUncertain(0.0, 1.0)),
+                 (PopulationSample("b", (-1.0, 1.0)), NormalUncertain(0.0, 1e-320))]
+        with pytest.raises(NumericError, match="population 'b'"):
+            merge_group(CommonCase.MEAN, group)
+
+    def test_finite_values_whose_sum_overflows_are_merged(self):
+        values = (1e308, 1.5e308, -1e308)
+        merged = merge_group(CommonCase.MEAN, [(PopulationSample("a", values), NormalUncertain(0.0, 1.0))])
+        assert merged.values == values
 
 
 class TestMergedSample:
