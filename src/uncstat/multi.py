@@ -14,12 +14,14 @@ The pairwise stage shares its work across pairs (:class:`CrossTests`): each
 band is built once per reference distribution, and each population keeps one
 sorted view of its candidates, the values outside the intersection of the
 bands it meets, so a band is counted by bisecting the candidates alone.
-Homogeneous groups are enumerated on neighbour bitsets.
+Homogeneous groups are enumerated on neighbour bitsets, and groups read back
+from a report are checked against the same bitsets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -52,6 +54,7 @@ __all__ = [
     "pairwise_test",
     "homogeneity_test",
     "homogeneous_groups",
+    "check_groups",
 ]
 
 
@@ -180,13 +183,13 @@ class CrossTests:
 
     ``group`` holds ``(sample, fit)`` pairs.  Each member meets one band per
     other member, and a value inside their intersection ``[lo, hi]`` is
-    inside every one of them; so the member keeps only its candidates, the
-    values outside ``[lo, hi]``, sorted with their 1-based positions.  A band
-    that contains ``[lo, hi]`` is counted over the candidates by two
-    bisections.  Any other band, and any sample that is not a member, is
-    counted by the linear scan of :func:`~uncstat.testing.count_outliers`,
-    the reference definition.  Decisions equal
-    ``test_against_interval(pop_i, cross_interval(...))``.
+    inside every one of them; so the member keeps those bands, keyed by the
+    fit they come from, and only its candidates, the values outside
+    ``[lo, hi]``, sorted with their 1-based positions.  A band that contains
+    ``[lo, hi]`` is counted over the candidates by two bisections.  Any other
+    band, and any sample that is not a member, is counted by the linear scan
+    of :func:`~uncstat.testing.count_outliers`, the reference definition.
+    Decisions equal ``test_against_interval(pop_i, cross_interval(...))``.
     """
 
     def __init__(self, case: ParameterCase, alpha: float, group: FittedGroup = ()) -> None:
@@ -194,19 +197,24 @@ class CrossTests:
         self.alpha = check_level(alpha)
         self._pins = CASE_PINS[case]
         self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
-        # Keyed by object identity; each entry holds its sample, so no other
-        # sample can take that identity while the table lives.
+        # Views, and each member's bands, are keyed by object identity; the
+        # table holds the members, so no other object can take one of those
+        # identities while it lives.
+        self._members = tuple(group)
         self._views: dict[int, tuple] = {}
-        fits = [fit for _, fit in group]
-        for k, (sample, _) in enumerate(group):
-            bands = [self.band(sample, fit) for fit in fits[:k] + fits[k + 1 :]]
-            lo = max([b.lower for b in bands], default=math.inf)
-            hi = min([b.upper for b in bands], default=-math.inf)
-            values = sample.values
-            order = [p for p, z in enumerate(values) if z < lo or z > hi]
-            order.sort(key=values.__getitem__)
-            candidates = [values[p] for p in order]
-            self._views[id(sample)] = (sample, lo, hi, candidates, [p + 1 for p in order])
+        for k, (sample, _) in enumerate(self._members):
+            bands = {}
+            lo, hi = -math.inf, math.inf
+            for j, (_, fit) in enumerate(self._members):
+                if j != k:
+                    band = bands[id(fit)] = self.band(sample, fit)
+                    lo = band.lower if band.lower > lo else lo
+                    hi = band.upper if band.upper < hi else hi
+            # (value, position) pairs sort by value, equal values by position.
+            outside = [(z, p) for p, z in enumerate(sample.values, 1) if z < lo or z > hi]
+            outside.sort()
+            candidates, positions = zip(*outside) if outside else ((), ())
+            self._views[id(sample)] = (bands, lo, hi, candidates, positions)
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
@@ -218,18 +226,20 @@ class CrossTests:
 
     def decide(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> TestDecision:
         """Test ``pop_i``'s data against the band built from ``fit_j``."""
-        band = self.band(pop_i, fit_j)
         view = self._views.get(id(pop_i))
-        if view is not None:
-            _, lo, hi, candidates, positions = view
-            if band.lower <= lo and hi <= band.upper:
-                # An endpoint value is inside: bisect_left stops before it at
-                # the lower end, bisect_right passes it at the upper end.
-                outliers = positions[: bisect_left(candidates, band.lower)]
-                outliers += positions[bisect_right(candidates, band.upper) :]
-                outliers.sort()
-                return TestDecision(band, tuple(outliers), len(pop_i.values))
-        return test_against_interval(pop_i, band)
+        if view is None:
+            return test_against_interval(pop_i, self.band(pop_i, fit_j))
+        bands, lo, hi, candidates, positions = view
+        band = bands.get(id(fit_j))
+        if band is None:  # not another member's fit, whose band contains [lo, hi]
+            band = self.band(pop_i, fit_j)
+            if not (band.lower <= lo and hi <= band.upper):
+                return test_against_interval(pop_i, band)
+        # An endpoint value is inside: bisect_left stops before it at the
+        # lower end, bisect_right passes it at the upper end.
+        outliers = positions[: bisect_left(candidates, band.lower)]
+        outliers += positions[bisect_right(candidates, band.upper) :]
+        return TestDecision(band, tuple(sorted(outliers)), len(pop_i.values))
 
 
 def pairwise_test(
@@ -288,12 +298,77 @@ def homogeneous_groups(
     singletons.
     """
     id_list = list(ids)
-    n = len(id_list)
-    index = {pid: k for k, pid in enumerate(id_list)}
+    _, neighbours = _graph(id_list, pairwise)
+    cliques = [sorted(id_list[v] for v in _bits(c)) for c in _maximal_cliques(neighbours)]
+    return tuple(frozenset(c) for c in sorted(cliques, key=_group_order))
+
+
+def check_groups(
+    ids: Sequence[str],
+    pairwise: Sequence[PairwiseDecision],
+    groups: Iterable[Sequence[str]],
+) -> tuple[frozenset[str], ...]:
+    """``groups``, each listing its ids in sorted order, as
+    :func:`homogeneous_groups` would return them, after checking that they
+    could be its result.
+
+    Each group must be a maximal clique of the pairwise-homogeneity graph,
+    every id must be in a group, and the groups must be distinct and sorted
+    as :func:`homogeneous_groups` sorts them.  Whether every maximal clique
+    is listed is not checked: that takes the enumeration this avoids.
+    Raises ValueError naming the first group that fails.
+    """
+    index, neighbours = _graph(ids, pairwise)
+    everyone = (1 << len(neighbours)) - 1
+    covered = 0
+    listed: list[list[str]] = []
+    for group in groups:
+        members = list(group)
+        if members != sorted(set(members)):
+            raise ValueError(f"group {members} must list distinct ids in sorted order")
+        clique = 0
+        for pid in members:
+            if pid not in index:
+                raise ValueError(f"group {members} names an unknown population {pid!r}")
+            clique |= 1 << index[pid]
+        shared = everyone  # vertices homogeneous with every member
+        for v in _bits(clique):
+            if clique & ~neighbours[v] != 1 << v:
+                raise ValueError(f"group {members} holds a heterogeneous pair")
+            shared &= neighbours[v]
+        if shared:
+            raise ValueError(f"group {members} is not maximal")
+        covered |= clique
+        listed.append(members)
+    if covered != everyone:
+        raise ValueError("every population must be in a group")
+    keys = list(map(_group_order, listed))
+    if not all(map(operator.lt, keys, keys[1:])):
+        raise ValueError("groups must be distinct and sorted by descending size, then members")
+    return tuple(map(frozenset, listed))
+
+
+def _group_order(members: list[str]) -> tuple[int, list[str]]:
+    """Sort key of a group with sorted members: descending size, then members."""
+    return -len(members), members
+
+
+def _graph(
+    ids: Sequence[str], pairwise: Sequence[PairwiseDecision]
+) -> tuple[dict[str, int], list[int]]:
+    """Index of each id and neighbour bitsets of the pairwise-homogeneity
+    graph: bit ``b`` of ``neighbours[a]`` is set when populations ``a`` and
+    ``b`` are homogeneous.
+
+    Raises ValueError unless the ids are unique and ``pairwise`` holds one
+    decision for each pair of them.
+    """
+    n = len(ids)
+    index = {pid: k for k, pid in enumerate(ids)}
     if len(index) != n:
         raise ValueError("population ids must be unique")
     seen: set[tuple[int, int]] = set()
-    neighbours = [0] * n  # bit b of neighbours[a]: a and b are homogeneous
+    neighbours = [0] * n
     for p in pairwise:
         a, b = index.get(p.i), index.get(p.j)
         if a is None or b is None or a == b:
@@ -308,11 +383,9 @@ def homogeneous_groups(
     # seen holds distinct pairs of ids, so it covers them all iff its size matches.
     if len(seen) != n * (n - 1) // 2:
         pairs = combinations(range(n), 2)
-        missing = sorted(tuple(sorted(id_list[k] for k in ab)) for ab in pairs if ab not in seen)
+        missing = sorted(tuple(sorted(ids[k] for k in ab)) for ab in pairs if ab not in seen)
         raise ValueError(f"pairwise decisions missing for pairs: {missing}")
-
-    cliques = [sorted(id_list[v] for v in _bits(c)) for c in _maximal_cliques(neighbours)]
-    return tuple(frozenset(c) for c in sorted(cliques, key=lambda c: (-len(c), c)))
+    return index, neighbours
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -13,9 +13,9 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import chain, compress, count, repeat
+from itertools import chain, combinations, compress, count, repeat
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .multi import (
@@ -25,6 +25,7 @@ from .multi import (
     PairwiseDecision,
     ParameterCase,
     check_case,
+    check_groups,
     describe_pins,
     homogeneity_test,
 )
@@ -56,7 +57,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MODES = ("pipeline", "fit", "homogeneity", "common")
 
 _AUTO_COMMON = {
@@ -244,6 +245,8 @@ def _read_columns(data_path: str | Path) -> dict[str, list[float]]:
             raise DataFormatError(f"line 1: {exc}") from None
         if header is None:
             raise DataFormatError("data file is empty")
+        if "\0" in "".join(header):  # as csv reports it on the versions that reject it
+            raise DataFormatError("line 1: line contains NUL")
         if [h.strip() for h in header] != ["population", "value"]:
             raise DataFormatError("line 1: expected header 'population,value'")
         lineno = 2
@@ -292,12 +295,21 @@ def _add_plain_block(lines: list[str], by_id: dict[str, list[float]]) -> bool:
     return True
 
 
-def _add_rows(rows: Iterator[list[str]], first: int, by_id: dict[str, list[float]]) -> None:
-    """Check and add each record of ``rows``; ``first`` is the line the first
-    one is named by."""
-    lineno = first - 1
+def _add_rows(reader: Any, first: int, by_id: dict[str, list[float]]) -> None:
+    """Check and add each record ``reader``, a :func:`csv.reader` whose first
+    line is line ``first`` of the file, reads.
+
+    Errors name the line a record ends on, or the line of a NUL, which csv
+    rejects on some versions and no version reads into a population.
+    """
+    offset = first - 1
     try:
-        for lineno, row in enumerate(rows, start=first):
+        for row in reader:
+            lineno = offset + reader.line_num
+            text = ",".join(row)  # a record's line breaks are in its quoted fields
+            if "\0" in text:
+                nul_line = lineno - text.count("\n", text.index("\0"))
+                raise DataFormatError(f"line {nul_line}: line contains NUL")
             if len(row) != 2:
                 if not row:
                     continue  # tolerate blank lines
@@ -319,7 +331,7 @@ def _add_rows(rows: Iterator[list[str]], first: int, by_id: dict[str, list[float
                 values = by_id[pid] = []
             values.append(value)
     except csv.Error as exc:  # a field over the limit, or a NUL on some versions
-        raise DataFormatError(f"line {lineno + 1}: {exc}") from None
+        raise DataFormatError(f"line {offset + reader.line_num}: {exc}") from None
 
 
 def ingest(
@@ -554,10 +566,10 @@ def _decision_from(interval: AcceptanceInterval, raw: Any, m: int) -> TestDecisi
 def report_to_dict(report: RunReport) -> dict[str, Any]:
     """Versioned tree holding each fact of :class:`RunReport` once.
 
-    Bands, thresholds, verdicts, sizes and the merged sample are left out:
-    :func:`report_from_dict` derives them again from the data, the fits and
-    the level.  Discovered groups are kept, since enumerating them again has
-    no bound.
+    Bands, thresholds, verdicts, sizes, pairwise decisions and the merged
+    sample are left out: :func:`report_from_dict` derives them again from
+    the data, the fits and the level.  Discovered groups are kept, since
+    enumerating them again has no bound.
     """
     populations = [
         {
@@ -572,18 +584,7 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
     ]
     homogeneity = None
     if report.homogeneity is not None:
-        homogeneity = {
-            "pairwise": [
-                [
-                    p.i,
-                    p.j,
-                    list(p.decision_i_vs_j.outlier_indices),
-                    list(p.decision_j_vs_i.outlier_indices),
-                ]
-                for p in report.homogeneity.pairwise
-            ],
-            "groups": [sorted(g) for g in report.homogeneity.groups],
-        }
+        homogeneity = {"groups": [sorted(g) for g in report.homogeneity.groups]}
     common = None
     if report.common is not None:
         common = {
@@ -620,7 +621,7 @@ def report_from_dict(obj: Any) -> RunReport:
         )
     try:
         return _report_from_dict(obj)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataFormatError(f"malformed report: {type(exc).__name__}: {exc}") from None
 
 
@@ -643,25 +644,21 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
         populations.append(PopulationReport(sample=sample, fit=fit, self_test=self_test))
     check_case(case, (p.sample for p in populations))
     by_id = {p.sample.id: p for p in populations}
-    bands = CrossTests(case, alpha)
-
-    def cross(data: str, source: str, raw: Any) -> TestDecision:
-        sample = by_id[data].sample
-        return _decision_from(bands.band(sample, by_id[source].fit), raw, sample.size)
 
     homogeneity = None
     if obj["homogeneity"] is not None:
-        raw = obj["homogeneity"]
+        fitted = [(p.sample, p.fit) for p in populations]
+        if len(fitted) < 2:
+            raise ValueError("homogeneity requires at least two populations")
+        tests = CrossTests(case, alpha, fitted)
+        # Decided here rather than by pairwise_test, whose calls trace the
+        # pairs a run tests.
         pairwise = tuple(
-            PairwiseDecision(i, j, cross(i, j, i_vs_j), cross(j, i, j_vs_i))
-            for i, j, i_vs_j, j_vs_i in raw["pairwise"]
+            PairwiseDecision(a.id, b.id, tests.decide(a, fit_b), tests.decide(b, fit_a))
+            for (a, fit_a), (b, fit_b) in combinations(fitted, 2)
         )
-        homogeneity = HomogeneityResult(
-            case=case,
-            alpha=alpha,
-            pairwise=pairwise,
-            groups=tuple(frozenset(g) for g in raw["groups"]),
-        )
+        groups = check_groups([s.id for s, _ in fitted], pairwise, obj["homogeneity"]["groups"])
+        homogeneity = HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
 
     selected = None if obj["selected_group"] is None else tuple(obj["selected_group"])
     if selected is not None and list(selected) != [i for i in by_id if i in selected]:

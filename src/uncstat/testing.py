@@ -13,9 +13,13 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import NumericError
-from .udist import NormalUncertain, check_level, fit_moments, std_quantile
+from .udist import NormalUncertain, check_level, check_parameters, fit_moments, std_quantile
+
+if TYPE_CHECKING:
+    from .pooling import MergedSample
 
 __all__ = [
     "PopulationSample",
@@ -46,7 +50,9 @@ class PopulationSample:
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         if not self.values:
             raise ValueError(f"population {self.id!r} has no observations")
-        if not all(map(math.isfinite, self.values)):
+        # The sum of finite values is finite unless it overflows on its own;
+        # only then, or when a value is not finite, is each value looked at.
+        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise ValueError(f"population {self.id!r} contains non-finite values")
         if self.known_sigma is not None and not self.known_sigma > 0.0:
             raise ValueError(
@@ -86,10 +92,10 @@ class AcceptanceInterval:
 
     def __post_init__(self) -> None:
         q_lower, q_upper = band_quantiles(self.alpha)
-        source = NormalUncertain(self.source_e, self.source_sigma)
+        check_parameters(self.source_e, self.source_sigma)
         # quantile(source, p) by definition: e + sigma * std_quantile(p)
-        lower = source.e + source.sigma * q_lower
-        upper = source.e + source.sigma * q_upper
+        lower = self.source_e + self.source_sigma * q_lower
+        upper = self.source_e + self.source_sigma * q_upper
         finite = math.isfinite(lower) and math.isfinite(upper)
         if not (finite and lower < upper):
             problem = "empty" if finite else "not finite"
@@ -165,7 +171,9 @@ def acceptance_interval(d: NormalUncertain, alpha: float) -> AcceptanceInterval:
     return AcceptanceInterval(d.e, d.sigma, alpha)
 
 
-def count_outliers(sample: PopulationSample, interval: AcceptanceInterval) -> tuple[int, ...]:
+def count_outliers(
+    sample: PopulationSample | MergedSample, interval: AcceptanceInterval
+) -> tuple[int, ...]:
     """1-based positions of observations strictly outside ``interval``, ascending."""
     lower, upper = interval.lower, interval.upper
     return tuple([p for p, z in enumerate(sample.values, start=1) if z < lower or z > upper])
@@ -189,12 +197,16 @@ def rejection_threshold(m: int, alpha: float) -> int:
     return math.floor(x) + 1
 
 
-def test_against_interval(sample: PopulationSample, interval: AcceptanceInterval) -> TestDecision:
+def test_against_interval(
+    sample: PopulationSample | MergedSample, interval: AcceptanceInterval
+) -> TestDecision:
     """Decide the test of ``sample`` against an already-built acceptance band."""
-    return TestDecision(interval, count_outliers(sample, interval), sample.size)
+    return TestDecision(interval, count_outliers(sample, interval), len(sample.values))
 
 
-def single_test(sample: PopulationSample, d0: NormalUncertain, alpha: float) -> TestDecision:
+def single_test(
+    sample: PopulationSample | MergedSample, d0: NormalUncertain, alpha: float
+) -> TestDecision:
     """Two-sided test of whether ``sample`` is consistent with ``d0`` at level ``alpha``."""
     return test_against_interval(sample, acceptance_interval(d0, alpha))
 

@@ -19,6 +19,7 @@ from .errors import DegenerateSampleError, NumericError
 __all__ = [
     "NormalUncertain",
     "check_level",
+    "check_parameters",
     "cdf",
     "quantile",
     "std_quantile",
@@ -41,6 +42,15 @@ def check_level(alpha: float) -> float:
     return float(alpha)
 
 
+def check_parameters(e: float, sigma: float) -> None:
+    """Raise ValueError unless ``e`` is a finite location and ``sigma`` a
+    finite scale > 0."""
+    if not isinstance(e, (int, float)) or not math.isfinite(e):
+        raise ValueError(f"location must be finite, got {e!r}")
+    if not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or not sigma > 0.0:
+        raise ValueError(f"scale must be finite and > 0, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class NormalUncertain:
     """Normal uncertainty distribution with location ``e`` and scale ``sigma``."""
@@ -49,14 +59,7 @@ class NormalUncertain:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e, (int, float)) or not math.isfinite(self.e):
-            raise ValueError(f"location must be finite, got {self.e!r}")
-        if (
-            not isinstance(self.sigma, (int, float))
-            or not math.isfinite(self.sigma)
-            or not self.sigma > 0.0
-        ):
-            raise ValueError(f"scale must be finite and > 0, got {self.sigma!r}")
+        check_parameters(self.e, self.sigma)
 
 
 def cdf(d: NormalUncertain, z: float) -> float:

@@ -32,12 +32,31 @@ class TestExitCodes:
         assert run(["--data", bad]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_error_names_the_file_line_not_the_record(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('population,value\n"a\nb",1\nc,x\n', encoding="utf-8")
+        assert run(["--data", bad]) == 2
+        assert "line 4: value 'x' is not numeric" in capsys.readouterr().err
+
+    def test_nul_in_an_id_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "nul.csv"
+        bad.write_text("population,value\na\0,1\na,2\nb,3\n", encoding="utf-8")
+        assert run(["--data", bad]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: line contains NUL" in err and "Traceback" not in err
+
     def test_over_long_field_is_two(self, tmp_path, capsys):
         data = tmp_path / "long.csv"
         data.write_text("population,value\na,1\n" + "a" * 200_000 + ",2\n", encoding="utf-8")
         assert run(["--data", data]) == 2
         err = capsys.readouterr().err
         assert "line 3: field larger than field limit" in err and "Traceback" not in err
+
+    def test_over_long_field_names_the_line_it_crosses_the_limit_on(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text('population,value\na,1\n"a\n' + "a" * 200_000 + '",2\n', encoding="utf-8")
+        assert run(["--data", data]) == 2
+        assert "line 4: field larger than field limit" in capsys.readouterr().err
 
     def test_deeply_nested_config_is_two(self, field_paths, tmp_path, capsys):
         data, _ = field_paths

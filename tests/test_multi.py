@@ -27,7 +27,7 @@ from uncstat import (
     single_test,
     ufwer,
 )
-from uncstat.multi import check_case
+from uncstat.multi import check_case, check_groups
 
 
 def grid_values(min_size=3, max_size=12):
@@ -527,6 +527,38 @@ class TestHomogeneousGroups:
         for ka, kb, ga, gb in zip(keys, keys[1:], got, got[1:]):
             if len(ga) == len(gb):
                 assert ka < kb
+
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_check_groups_accepts_exactly_what_enumeration_could_return(self, data):
+        n = data.draw(st.integers(2, 7))
+        ids = [str(k) for k in range(1, n + 1)]
+        pairs = list(combinations(ids, 2))
+        flags = [data.draw(st.booleans()) for _ in pairs]
+        pairwise = [make_pairwise(i, j, f) for (i, j), f in zip(pairs, flags)]
+        found = homogeneous_groups(ids, pairwise)
+        assert check_groups(ids, pairwise, [sorted(g) for g in found]) == found
+
+        edges = {frozenset(p) for p, f in zip(pairs, flags) if f}
+        cliques = brute_force_maximal_cliques(ids, edges)
+        subsets = st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True).map(sorted)
+        groups = data.draw(
+            st.lists(st.sampled_from(sorted(map(sorted, cliques))) | subsets, max_size=6)
+        )
+        if data.draw(st.booleans()):
+            groups.sort(key=lambda g: (-len(g), g))
+        keys = [(-len(g), g) for g in groups]
+        valid = (
+            all(frozenset(g) in cliques for g in groups)
+            and set().union(*groups) == set(ids)
+            and all(a < b for a, b in zip(keys, keys[1:]))
+        )
+        if valid:
+            assert check_groups(ids, pairwise, groups) == tuple(map(frozenset, groups))
+        else:
+            with pytest.raises(ValueError):
+                check_groups(ids, pairwise, groups)
 
 
 class TestRecords:

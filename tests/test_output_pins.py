@@ -6,9 +6,11 @@ workload (few large populations, scales pinned, all of them pooled).
 The text and plot digests were taken before the structured report moved to
 schema 2 and acceptance bands became derived from their source parameters,
 so they guard both the derived endpoints and the text and plot renderers.
-The structured digests were taken before ingest was streamed and merged
-samples kept only their part sizes, so they guard every value, fit and
-outlier position a run stores.
+The structured digests were taken when the report moved to schema 3, which
+drops the pairwise decision records; the documents they pin are the
+schema 2 documents pinned before, with only the version number changed and
+the records removed.  They guard every value, fit, group and outlier
+position a run stores.
 """
 
 import csv
@@ -62,34 +64,34 @@ PLOT = {
 # study -> mode -> SHA-256 of the structured report
 STRUCTURED = {
     "example1": {
-        "pipeline": "4cb1390397f1275d619b46ee32c82d929326200e3d0e12725f067a0a3a8c9701",
-        "fit": "582a11ffe8c4057cc9b3a2a34031a56184883eac7482457c8f576a31efad9636",
-        "homogeneity": "e14db06215f5c19a9fefe3821062fd3f93f8c3b2b1fc536e1c513547646a2925",
-        "common": "055807e09ffca6d8567296ee57b5aa70243c7179c87d016e58c7ff5e348dfa17",
+        "pipeline": "1400674f31158f1acb4ca7b82160d1d65bd7cf06e28560f23022c2bb3565cf74",
+        "fit": "fbdab660272348b511f17f1bb12a06d64dd18c886a81718e895fc93bd0bf0cfd",
+        "homogeneity": "6ca8dad5743ae713e6068edd1a898446ed1b05180e5632cc99bdd554bab6d367",
+        "common": "3f6777f1d08836542c59befcebbb4a142cd531a8dcbe9bc710d65d08b8b06457",
     },
     "example2": {
-        "pipeline": "e45e36821b0bd583186d366a2701b8d81e91afa6364f543a98b7a76411d2d94a",
-        "fit": "5fa0190537e3401cb7e1c08dd4c4407d18c351e6bfc08139e6249c09b6ed2d43",
-        "homogeneity": "9840bcbde408cd46ea020564b793b0ecde25eb239ac9a9ce8846cc535d281057",
-        "common": "c4637732c315478516318bbdfccb2f42d0ba7a9fd8ea0cc1b9a222df817c4b34",
+        "pipeline": "714982405a28a856efbfb1b90fcb87ea5b5919a1e3b9f22fab51e465bb864d4e",
+        "fit": "4bc6b7abfe817b76b43f99e6a9af119cd8de43f1c1a21e0612caea6545a263ed",
+        "homogeneity": "951e106b907fa95617fe553296503add5996ff18edc2826f604b057c9185e65c",
+        "common": "901c9e7dfa5dd50739dc646512ca3d3ff980f3a7808c79c2a85ddcca11f59eb7",
     },
     "example3": {
-        "pipeline": "5921bd2dadbf674b6dd85e31b909b0ae37d915b6ec50936fb3f20f88eebd4e4f",
-        "fit": "0856590a3e13fd800d6fdd0f43bf35f2c4e2e307caa3f8b1e4b34ae5a2d4e3a1",
-        "homogeneity": "d5646fdf8bcb004753adaee871a1ba5b76a7f26c0991d0e7022b787baddcb200",
-        "common": "a15bd3187eb1d1f0e7dbacc199753574057cfeaff734fd90f6374f9f542e6825",
+        "pipeline": "a7c4310b73fbc6348fac7690fd825179114a1b461073b6079107d003f517b79b",
+        "fit": "593dddb042ccaf9fc48ba5d5c6f805ce7f8652247d1271634c3350f74e92bc60",
+        "homogeneity": "3a73afda48669ad1d6fba38b38f7d31c856ee0dda3149c20e993b66beea5054f",
+        "common": "5c20c13448a04f095beb4f7eecc92c0f497abab09ad8fb0972378830eea9c781",
     },
     "toothmarks": {
-        "pipeline": "fbb9f2cf141a1c086578ae7c16d234b12e7c372866d0f5cbe485b5d72a901637",
-        "fit": "fc0644477421b0b5d44a24568a11ae28b2746773d32d818ef49551df08256cc2",
-        "homogeneity": "b6969ae46b739df1d47c0f57d3cf20c9bf3326cd9da7415285574c95311d1f26",
-        "common": "5d2b0f53f287f0f8372e42768f32384eb52efb6830d710bd353e2b5136a98413",
+        "pipeline": "0449af75ed1890c9af81a031184de822c4dd5db87f6bf60d4fa7f3cf7b5487c5",
+        "fit": "f3060ac3b5d156023fec8f5ea46135fbf0b8f4f4e52e11d8e19d9489b037f889",
+        "homogeneity": "374bb880c1725da9a48acca2729cb10f6de197d36ad96f8913e803d3dc51f1f5",
+        "common": "276260303d6c93e88f32c6bbef9021c7579fd2a1f8d455a993365e3f695985ac",
     },
 }
 
 # format -> SHA-256 of the report of tall_shaped_study
 TALL = {
-    "structured": "6828e78a3a151a646a5474b404bdcd1ba7a767e56980ad4690f0dc759f1ccb96",
+    "structured": "e4155cd6fb1b5dfe1f114a68cdb2f89e9e4b224e4099a2918adc314357c8fb47",
     "text": "bb6c5dd38cb8302ec7216f98ec0dec1639e25de6974c9d61d2f3b16faf51fb84",
 }
 

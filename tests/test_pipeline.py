@@ -1,7 +1,11 @@
 import csv
 import io
+import copy
 import json
 import math
+import operator
+from functools import reduce
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,8 +22,9 @@ from uncstat import (
     PopulationConfig,
     PopulationSample,
     RunConfig,
+    cross_interval,
 )
-from uncstat import pipeline
+from uncstat import pipeline, testing
 from uncstat.pipeline import MODES, _fmt3, config_from_dict, config_to_dict
 from test_multi import CASE_PATTERN, PIN_PATTERNS
 
@@ -93,24 +98,30 @@ class TestConfig:
 
 def reference_ingest(data_path):
     """The data half of ingest as it read files before it streamed them:
-    the whole text first, then every row held in one list.  A record csv
-    cannot read ends the list and is reported once the rows before it pass."""
+    the whole text first, then every row held in one list with the line it
+    ends on.  A record csv cannot read ends the list and is reported once the
+    rows before it pass; so is the first NUL, at its line, on any version."""
     text = Path(data_path).read_text(encoding="utf-8-sig")
     rows, unreadable = [], None
     reader = csv.reader(io.StringIO(text))
     try:
         for row in reader:
-            rows.append(row)
+            rows.append((reader.line_num, row))
     except csv.Error as exc:
-        unreadable = DataFormatError(f"line {len(rows) + 1}: {exc}")
+        unreadable = DataFormatError(f"line {reader.line_num}: {exc}")
     if not rows:
         raise unreadable or DataFormatError("data file is empty")
-    header = [h.strip() for h in rows[0]]
+    nul_line = text.count("\n", 0, text.index("\0")) + 1 if "\0" in text else math.inf
+    if rows[0][0] >= nul_line:
+        raise DataFormatError("line 1: line contains NUL")
+    header = [h.strip() for h in rows[0][1]]
     if header != ["population", "value"]:
         raise DataFormatError("line 1: expected header 'population,value'")
 
     by_id = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
+        if lineno >= nul_line:
+            raise DataFormatError(f"line {nul_line}: line contains NUL")
         if not row:
             continue
         if len(row) != 2:
@@ -138,13 +149,13 @@ def reference_ingest(data_path):
 _PADDING = st.sampled_from(["", " ", "  ", "\t"])
 _IDS = st.sampled_from(["a", "b", "c d", "x,y", 'q"t', "a\nb", "a\r\nb"])
 _PLAIN_IDS = st.sampled_from(["a", "b", "c d"])
-_ODD_IDS = st.sampled_from(["", " "])
+_ODD_IDS = st.sampled_from(["", " ", "a\0", "\0\nb"])
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
 )
 _ODD_VALUES = st.sampled_from(
-    ["1_000", "inf", "-inf", "nan", "NaN", "1e400", "", "abc", "1.5.2", "+3", "\u0663"]
+    ["1_000", "inf", "-inf", "nan", "NaN", "1e400", "", "abc", "1.5.2", "+3", "\u0663", "1\0"]
 )
 
 
@@ -164,12 +175,12 @@ def data_files(draw):
     quoted fields with separators, quotes and line breaks in the files that
     are not drawn plain (plain files quote only the fields that need it);
     digit separators, non-finite and non-numeric values, wrong field counts,
-    empty ids and bad headers in the files that are not drawn clean."""
+    empty ids, NULs and bad headers in the files that are not drawn clean."""
     clean = draw(st.booleans())
     odd = st.just(False) if clean else st.integers(0, 5).map(lambda k: k == 0)
     plain = draw(st.booleans())
     headers = ["population,value", " population , value ", '"population","value"']
-    lines = [draw(st.sampled_from(headers + ([] if clean else ["pop,val"])))]
+    lines = [draw(st.sampled_from(headers + ([] if clean else ["pop,val", "popul\0ation,value"])))]
     for _ in range(draw(st.integers(0 if not clean else 1, 10))):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank"] + ([] if clean else ["one", "three"])))
         if kind == "blank":
@@ -287,7 +298,8 @@ class TestIngest:
     @example(text="population,value\na,1\nb,inf\nc,3\n", hint=1000)
     @example(text="population,value\na,1\na,2", hint=1000)  # no newline at the end
     @example(text="population,value\n\ta\t,\t1\t\na ,2 \n", hint=1000)  # tab padding
-    @example(text="population,value\na,1\na\0,2\nb,3\n", hint=1000)  # csv rejects NUL on 3.10
+    @example(text="population,value\na,1\na\0,2\nb,3\n", hint=1000)  # a NUL, on every version
+    @example(text='population,value\na,1\n"a\nb\0\nc",2\n', hint=1000)  # a NUL inside a record
     def test_block_ingest_matches_whole_file_reference(self, text, hint, tmp_path, monkeypatch):
         """Blocks of a few characters: most files span many blocks, and csv
         takes over in the middle of a file."""
@@ -463,6 +475,47 @@ class TestRunPipeline:
         assert len(report.homogeneity.pairwise) == 1
 
 
+# Values a mutation puts in place of another, one of each JSON type, and
+# numbers at the edges of double precision.
+_SWAPS = [None, True, False, 0, -1, 2.5, "1", "", [], {}, [1], {"e": 1}]
+_EDGES = [0, -0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan, 10**400]
+
+
+def _paths(node, path=()):
+    """Every path of keys and indices below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def mutate(obj, data):
+    """Change one drawn place of a report tree in place: drop a key or an
+    item, swap in a value of another type, perturb a number, or reorder a
+    list, such as the groups."""
+    paths = list(_paths(obj))
+    if not paths:
+        return
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent = reduce(operator.getitem, path[:-1], obj)
+    key, value = path[-1], parent[path[-1]]
+    kind = data.draw(st.sampled_from(["drop", "swap", "perturb", "reorder"]), label="kind")
+    if kind == "drop":
+        del parent[key]
+    elif kind == "perturb" and type(value) in (int, float):
+        shifted = [value + 1, value - 1, -value, value * 3]
+        if type(value) is float:
+            shifted.append(math.nextafter(value, math.inf))
+        parent[key] = data.draw(st.sampled_from(shifted + _EDGES), label="number")
+    elif kind == "reorder" and isinstance(parent, list):
+        parent[:] = data.draw(st.permutations(parent), label="order")
+    else:
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS), label="swap"))
+
+
 class TestReportSerialisation:
     @pytest.mark.parametrize(
         "fixture_name",
@@ -471,7 +524,19 @@ class TestReportSerialisation:
     def test_structured_round_trip(self, request, fixture_name):
         report = request.getfixturevalue(fixture_name)
         document = u.emit_report(report, "structured")
-        assert u.parse_report(document) == report
+        parsed = u.parse_report(document)
+        assert parsed == report
+        # The pairwise decisions are re-derived: each follows the definition.
+        ids = [p.sample.id for p in parsed.populations]
+        assert [(pw.i, pw.j) for pw in parsed.homogeneity.pairwise] == list(combinations(ids, 2))
+        for pw in parsed.homogeneity.pairwise:
+            for data, source, decision in (
+                (pw.i, pw.j, pw.decision_i_vs_j),
+                (pw.j, pw.i, pw.decision_j_vs_i),
+            ):
+                sample, fit = parsed.population(data).sample, parsed.population(source).fit
+                band = cross_interval(parsed.case, sample, fit, parsed.alpha)
+                assert decision == testing.test_against_interval(sample, band)
 
     def test_round_trip_of_truncated_modes(self, toothmarks):
         samples, config = toothmarks
@@ -481,8 +546,8 @@ class TestReportSerialisation:
 
     def test_schema_version_is_checked(self, toothmarks_report):
         obj = json.loads(u.emit_report(toothmarks_report, "structured"))
-        assert obj["schema_version"] == 2
-        for version in (1, 99):
+        assert obj["schema_version"] == 3
+        for version in (1, 2, 99):
             obj["schema_version"] = version
             with pytest.raises(DataFormatError, match="schema"):
                 u.parse_report(json.dumps(obj))
@@ -502,8 +567,8 @@ class TestReportSerialisation:
         assert list(obj["populations"][0]) == [
             "id", "known_e", "known_sigma", "values", "fit", "self_test_outliers",
         ]
-        assert list(obj["homogeneity"]) == ["pairwise", "groups"]
-        assert obj["homogeneity"]["pairwise"][0] == ["1", "2", [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7]]
+        assert list(obj["homogeneity"]) == ["groups"]
+        assert obj["homogeneity"]["groups"] == [["3", "4", "5", "6"], ["1"], ["2"]]
         assert list(obj["common_test"]) == ["case", "theta0", "outliers", "diagnostics"]
 
     @pytest.mark.parametrize(
@@ -511,7 +576,14 @@ class TestReportSerialisation:
         [
             lambda obj: {k: v for k, v in obj.items() if k != "populations"},
             lambda obj: [obj],
-            lambda obj: {**obj, "homogeneity": {**obj["homogeneity"], "pairwise": [7]}},
+            lambda obj: {**obj, "homogeneity": {}},
+            lambda obj: {
+                **obj,
+                "populations": obj["populations"][:1],
+                "homogeneity": {"groups": [["1"]]},
+                "selected_group": ["1"],
+                "common_test": None,
+            },
             lambda obj: {
                 **obj,
                 "populations": [{**obj["populations"][0], "fit": {"e": 2.0, "sigma": -1}}]
@@ -558,7 +630,8 @@ class TestReportSerialisation:
         ids=[
             "missing-populations",
             "list-root",
-            "integer-pairwise-entry",
+            "groups-missing",
+            "homogeneity-of-one-population",
             "negative-scale",
             "repeated-selected-population",
             "outlier-position-out-of-range",
@@ -575,6 +648,34 @@ class TestReportSerialisation:
     def test_malformed_document(self, toothmarks_report, corrupt):
         obj = corrupt(json.loads(u.emit_report(toothmarks_report, "structured")))
         with pytest.raises(DataFormatError):
+            u.parse_report(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            # toothmarks' groups are {3,4,5,6}, {1} and {2}
+            ([["1", "2", "3", "4", "5", "6"]], "heterogeneous pair"),
+            ([["3", "4", "5", "6"], ["3", "4", "5"], ["1"], ["2"]], "not maximal"),
+            ([["3", "4", "5", "6"], ["1"]], "every population"),
+            ([["3", "4", "5", "6"], ["1"], ["2"], ["2"]], "distinct and sorted"),
+            ([["1"], ["3", "4", "5", "6"], ["2"]], "distinct and sorted"),
+            ([["4", "3", "5", "6"], ["1"], ["2"]], "sorted order"),
+            ([["3", "4", "5", "6"], ["1"], ["2"], ["7"]], "unknown population"),
+        ],
+        ids=[
+            "one-group-of-every-population",
+            "clique-not-maximal",
+            "population-in-no-group",
+            "repeated-group",
+            "groups-out-of-order",
+            "members-out-of-order",
+            "unknown-population-in-group",
+        ],
+    )
+    def test_groups_must_fit_the_pairwise_graph(self, toothmarks_report, groups, message):
+        obj = json.loads(u.emit_report(toothmarks_report, "structured"))
+        obj["homogeneity"]["groups"] = groups
+        with pytest.raises(DataFormatError, match=message):
             u.parse_report(json.dumps(obj))
 
     @pytest.mark.parametrize("mode", MODES)
@@ -613,6 +714,23 @@ class TestReportSerialisation:
         parsed = u.parse_report(document)
         assert parsed == report
         assert u.emit_report(parsed, "structured") == document
+
+    @pytest.mark.parametrize(
+        "fixture_name",
+        ["example1_report", "example2_report", "example3_report", "toothmarks_report"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_document_is_a_report_or_a_format_error(self, request, fixture_name, data):
+        report = request.getfixturevalue(fixture_name)
+        obj = json.loads(u.emit_report(report, "structured"))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            mutate(obj, data)
+        try:
+            parsed = u.parse_report(json.dumps(obj))
+        except DataFormatError:
+            return
+        assert isinstance(parsed, u.RunReport)
 
     def test_emission_is_deterministic(self, toothmarks_report):
         first = u.emit_report(toothmarks_report, "structured")

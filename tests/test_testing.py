@@ -37,9 +37,16 @@ class TestPopulationSample:
         with pytest.raises(ValueError):
             PopulationSample("a", ())
 
-    def test_rejects_non_finite_values(self):
-        with pytest.raises(ValueError):
-            PopulationSample("a", (1.0, math.nan))
+    @pytest.mark.parametrize(
+        "values",
+        [(1.0, math.nan), (math.inf, 1.0), (math.inf, -math.inf), (1e308, 1e308, -math.inf)],
+    )
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError, match="non-finite"):
+            PopulationSample("a", values)
+
+    def test_finite_values_whose_sum_overflows_are_kept(self):
+        assert PopulationSample("a", (1e308, 1e308, -1e308)).values == (1e308, 1e308, -1e308)
 
     def test_rejects_empty_id(self):
         with pytest.raises(ValueError):
@@ -78,6 +85,16 @@ class TestAcceptanceInterval:
         d = NormalUncertain(1.5, 2.5)
         iv = AcceptanceInterval(1.5, 2.5, 0.05)
         assert (iv.lower, iv.upper) == (quantile(d, 0.025), quantile(d, 0.975))
+
+    @pytest.mark.parametrize(
+        "e,sigma,message",
+        [(0.0, -1.0, "scale"), (0.0, math.nan, "scale"), (math.inf, 1.0, "location"), ("0", 1.0, "location")],
+    )
+    def test_rejects_an_invalid_source_as_a_distribution_would(self, e, sigma, message):
+        for build in (NormalUncertain, lambda e, sigma: AcceptanceInterval(e, sigma, 0.05)):
+            with pytest.raises(ValueError, match=message) as raised:
+                build(e, sigma)
+            assert not isinstance(raised.value, NumericError)
 
     @pytest.mark.parametrize(
         "e,sigma,problem",
