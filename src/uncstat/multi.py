@@ -210,10 +210,12 @@ class CrossTests:
                     band = bands[id(fit)] = self.band(sample, fit)
                     lo = band.lower if band.lower > lo else lo
                     hi = band.upper if band.upper < hi else hi
-            # (value, position) pairs sort by value, equal values by position.
-            outside = [(z, p) for p, z in enumerate(sample.values, 1) if z < lo or z > hi]
-            outside.sort()
-            candidates, positions = zip(*outside) if outside else ((), ())
+            # Indices of the candidates, sorted by value.
+            values = sample.values
+            outside = [i for i, z in enumerate(values) if z < lo or z > hi]
+            outside.sort(key=values.__getitem__)
+            candidates = tuple(map(values.__getitem__, outside))
+            positions = tuple([i + 1 for i in outside])
             self._views[id(sample)] = (bands, lo, hi, candidates, positions)
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:

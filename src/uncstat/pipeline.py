@@ -1,7 +1,9 @@
 """End-to-end pipeline: ingest data and configuration, fit and self-verify
 every population, test homogeneity, discover homogeneous groups, and run the
 pooled test on a selected group.  Reports serialize to a stable, versioned
-structure that stores each fact once, and render as plain-text tables.
+structure that stores a run's inputs and its groups, from which
+:func:`parse_report` runs the same stages again, and render as plain-text
+tables.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain, combinations, compress, count, repeat
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .multi import (
     CASE_PINS,
     CrossTests,
+    FittedGroup,
     HomogeneityResult,
     PairwiseDecision,
     ParameterCase,
@@ -29,15 +32,8 @@ from .multi import (
     describe_pins,
     homogeneity_test,
 )
-from .pooling import CommonCase, CommonTestResult, common_test, merge_group
-from .testing import (
-    AcceptanceInterval,
-    PopulationSample,
-    TestDecision,
-    acceptance_interval,
-    band_quantiles,
-    fit_and_verify,
-)
+from .pooling import CommonCase, CommonTestResult, common_test
+from .testing import PopulationSample, TestDecision, band_quantiles, fit_and_verify
 from .udist import NormalUncertain
 
 __all__ = [
@@ -57,7 +53,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 MODES = ("pipeline", "fit", "homogeneity", "common")
 
 _AUTO_COMMON = {
@@ -148,8 +144,11 @@ def config_from_dict(obj: Any) -> RunConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {unknown}")
 
+    entries = obj.get("populations", [])
+    if not isinstance(entries, list):
+        raise ConfigurationError("populations must be a list")
     populations = []
-    for entry in obj.get("populations", []):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigurationError("each population entry must be a mapping")
         extra = sorted(set(entry) - {"id", "known_e", "known_sigma"})
@@ -157,9 +156,11 @@ def config_from_dict(obj: Any) -> RunConfig:
             raise ConfigurationError(f"unknown population keys: {extra}")
         if "id" not in entry:
             raise ConfigurationError("population entry lacks an id")
+        if not isinstance(entry["id"], str):
+            raise ConfigurationError(f"population id must be a string, got {entry['id']!r}")
         populations.append(
             PopulationConfig(
-                id=str(entry["id"]),
+                id=entry["id"],
                 known_e=_optional_number(entry.get("known_e"), "known_e"),
                 known_sigma=_optional_number(entry.get("known_sigma"), "known_sigma"),
             )
@@ -176,12 +177,16 @@ def config_from_dict(obj: Any) -> RunConfig:
             raise ConfigurationError(str(exc)) from None
 
     group = obj.get("group_selection")
+    if group is not None and not (
+        isinstance(group, list) and all(isinstance(g, str) for g in group)
+    ):
+        raise ConfigurationError(f"group_selection must be a list of population ids, got {group!r}")
     try:
         return RunConfig(
             alpha=_number(obj.get("alpha", 0.05), "alpha"),
             case=_enum_from(obj.get("case"), ParameterCase, "case"),
             populations=tuple(populations),
-            group_selection=None if group is None else tuple(str(g) for g in group),
+            group_selection=None if group is None else tuple(group),
             common_case=_enum_from(obj.get("common_case"), CommonCase, "common_case"),
             theta0_override=theta0,
         )
@@ -209,7 +214,10 @@ def config_to_dict(config: RunConfig) -> dict[str, Any]:
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file into a validated :class:`RunConfig`."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config is not UTF-8 text: {exc.reason}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -441,6 +449,21 @@ def run_pipeline(
     pools the explicitly selected group (or all populations), ``pipeline``
     runs everything.  Output is deterministic for identical inputs.
     """
+    return _run(samples, config, mode, homogeneity_test)
+
+
+def _run(
+    samples: Sequence[PopulationSample],
+    config: RunConfig,
+    mode: str,
+    test_homogeneity: Callable[[FittedGroup, ParameterCase, float], HomogeneityResult],
+) -> RunReport:
+    """The stages of :func:`run_pipeline`, shared with :func:`report_from_dict`.
+
+    ``test_homogeneity`` takes what :func:`homogeneity_test` takes and finds
+    the homogeneous groups: a run enumerates them, a reload checks the groups
+    its document stores.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not samples:
@@ -466,7 +489,7 @@ def run_pipeline(
     homogeneity: HomogeneityResult | None = None
     if mode in ("pipeline", "homogeneity"):
         if len(samples) >= 2:
-            homogeneity = homogeneity_test(fitted, case, alpha)
+            homogeneity = test_homogeneity(fitted, case, alpha)
         else:
             warnings.append("only one population: homogeneity test skipped")
 
@@ -535,82 +558,45 @@ def _select_group(
 # serialisation
 
 
-def _fit_to_dict(d: NormalUncertain) -> dict[str, float]:
-    return {"e": d.e, "sigma": d.sigma}
-
-
-def _fit_from_dict(obj: dict[str, Any]) -> NormalUncertain:
-    return NormalUncertain(_number(obj["e"], "e"), _number(obj["sigma"], "sigma"))
-
-
-def _numbers(values: Any) -> tuple[float, ...]:
-    """A list of numbers as a tuple; booleans are not numbers here."""
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise ValueError("values must be a list of numbers")
-    return tuple(values)
-
-
-def _decision_from(interval: AcceptanceInterval, raw: Any, m: int) -> TestDecision:
-    """Rebuild a decision from its band and the outlier positions on record."""
-    indices = tuple(raw)
-    if indices and not (
-        set(map(type, indices)) == {int}
-        and 1 <= indices[0]
-        and indices[-1] <= m
-        and all(map(operator.lt, indices, indices[1:]))
-    ):
-        raise ValueError(f"outlier positions must ascend within 1..{m}")
-    return TestDecision(interval, indices, m)
+# Every key of a document and of each of its population entries; a reader
+# rejects a document with any other.
+_REPORT_KEYS = ("schema_version", "mode", "config", "populations", "homogeneity")
+_POPULATION_KEYS = ("id", "known_e", "known_sigma", "values")
 
 
 def report_to_dict(report: RunReport) -> dict[str, Any]:
-    """Versioned tree holding each fact of :class:`RunReport` once.
+    """Versioned tree of a run's inputs and the groups it found.
 
-    Bands, thresholds, verdicts, sizes, pairwise decisions and the merged
-    sample are left out: :func:`report_from_dict` derives them again from
-    the data, the fits and the level.  Discovered groups are kept, since
+    The mode, config, data and pins are what :func:`report_from_dict` runs
+    the pipeline's stages on again; the discovered groups are kept, since
     enumerating them again has no bound.
     """
-    populations = [
-        {
-            "id": p.sample.id,
-            "known_e": p.sample.known_e,
-            "known_sigma": p.sample.known_sigma,
-            "values": list(p.sample.values),
-            "fit": _fit_to_dict(p.fit),
-            "self_test_outliers": list(p.self_test.outlier_indices),
-        }
-        for p in report.populations
-    ]
-    homogeneity = None
-    if report.homogeneity is not None:
-        homogeneity = {"groups": [sorted(g) for g in report.homogeneity.groups]}
-    common = None
-    if report.common is not None:
-        common = {
-            "case": report.common.case.value,
-            "theta0": _fit_to_dict(report.common.theta0),
-            "outliers": list(report.common.decision.outlier_indices),
-            "diagnostics": list(report.common.diagnostics),
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": report.mode,
-        "case": report.case.value,
         "config": config_to_dict(report.config),
-        "populations": populations,
-        "homogeneity": homogeneity,
-        "selected_group": None if report.selected_group is None else list(report.selected_group),
-        "common_test": common,
-        "warnings": list(report.warnings),
+        "populations": [
+            {
+                "id": p.sample.id,
+                "known_e": p.sample.known_e,
+                "known_sigma": p.sample.known_sigma,
+                "values": list(p.sample.values),
+            }
+            for p in report.populations
+        ],
+        "homogeneity": None
+        if report.homogeneity is None
+        else {"groups": [sorted(g) for g in report.homogeneity.groups]},
     }
 
 
 def report_from_dict(obj: Any) -> RunReport:
-    """Inverse of :func:`report_to_dict`.
+    """Inverse of :func:`report_to_dict`: the stored inputs run through the
+    pipeline's stages, with the stored groups checked instead of enumerated.
 
     Raises :class:`DataFormatError` for any other schema version and for any
-    document that does not describe a valid report.
+    document that does not describe a valid report, including one whose
+    inputs make a stage fail.
     """
     if not isinstance(obj, dict):
         raise DataFormatError("report root must be a key/value mapping")
@@ -625,68 +611,61 @@ def report_from_dict(obj: Any) -> RunReport:
         raise DataFormatError(f"malformed report: {type(exc).__name__}: {exc}") from None
 
 
-def _report_from_dict(obj: dict[str, Any]) -> RunReport:
-    config = config_from_dict(obj["config"])
-    case = ParameterCase(obj["case"])
-    alpha = config.alpha
-    populations = []
-    for entry in obj["populations"]:
-        sample = PopulationSample(
-            id=entry["id"],
-            values=_numbers(entry["values"]),
-            known_e=_optional_number(entry["known_e"], "known_e"),
-            known_sigma=_optional_number(entry["known_sigma"], "known_sigma"),
-        )
-        fit = _fit_from_dict(entry["fit"])
-        self_test = _decision_from(
-            acceptance_interval(fit, alpha), entry["self_test_outliers"], sample.size
-        )
-        populations.append(PopulationReport(sample=sample, fit=fit, self_test=self_test))
-    check_case(case, (p.sample for p in populations))
-    by_id = {p.sample.id: p for p in populations}
+def _check_keys(obj: Any, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(obj, dict) or set(obj) != set(keys):
+        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise ValueError(f"{what} must be a mapping with keys {list(keys)}, got {found}")
 
-    homogeneity = None
-    if obj["homogeneity"] is not None:
-        fitted = [(p.sample, p.fit) for p in populations]
-        if len(fitted) < 2:
-            raise ValueError("homogeneity requires at least two populations")
-        tests = CrossTests(case, alpha, fitted)
+
+def _numbers(values: Any) -> list[float]:
+    """A list of numbers, as given; booleans are not numbers here."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError("values must be a list of numbers")
+    return values
+
+
+def _report_from_dict(obj: dict[str, Any]) -> RunReport:
+    _check_keys(obj, _REPORT_KEYS, "report")
+    entries = obj["populations"]
+    if not isinstance(entries, list):
+        raise ValueError("populations must be a list")
+    samples = []
+    for entry in entries:
+        _check_keys(entry, _POPULATION_KEYS, "population entry")
+        if not isinstance(entry["id"], str):
+            raise ValueError(f"population id must be a string, got {entry['id']!r}")
+        samples.append(
+            PopulationSample(
+                id=entry["id"],
+                values=_numbers(entry["values"]),
+                known_e=_optional_number(entry["known_e"], "known_e"),
+                known_sigma=_optional_number(entry["known_sigma"], "known_sigma"),
+            )
+        )
+    stored = obj["homogeneity"]
+
+    def check_stored_groups(
+        group: FittedGroup, case: ParameterCase, alpha: float
+    ) -> HomogeneityResult:
+        if stored is None:
+            raise ValueError(f"mode {obj['mode']!r} tests homogeneity; the section is missing")
+        _check_keys(stored, ("groups",), "homogeneity section")
+        tests = CrossTests(case, alpha, group)
         # Decided here rather than by pairwise_test, whose calls trace the
         # pairs a run tests.
         pairwise = tuple(
             PairwiseDecision(a.id, b.id, tests.decide(a, fit_b), tests.decide(b, fit_a))
-            for (a, fit_a), (b, fit_b) in combinations(fitted, 2)
+            for (a, fit_a), (b, fit_b) in combinations(group, 2)
         )
-        groups = check_groups([s.id for s, _ in fitted], pairwise, obj["homogeneity"]["groups"])
-        homogeneity = HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
+        groups = check_groups([s.id for s, _ in group], pairwise, stored["groups"])
+        return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
 
-    selected = None if obj["selected_group"] is None else tuple(obj["selected_group"])
-    if selected is not None and list(selected) != [i for i in by_id if i in selected]:
-        raise ValueError("selected group must name distinct populations in report order")
-    common = None
-    if obj["common_test"] is not None:
-        raw = obj["common_test"]
-        common_case = CommonCase(raw["case"])
-        theta0 = _fit_from_dict(raw["theta0"])
-        merged = merge_group(common_case, [(by_id[i].sample, by_id[i].fit) for i in selected])
-        common = CommonTestResult(
-            case=common_case,
-            theta0=theta0,
-            decision=_decision_from(acceptance_interval(theta0, alpha), raw["outliers"], merged.n),
-            merged=merged,
-            diagnostics=tuple(raw["diagnostics"]),
+    report = _run(samples, config_from_dict(obj["config"]), obj["mode"], check_stored_groups)
+    if stored is not None and report.homogeneity is None:
+        raise ValueError(
+            f"mode {report.mode!r} with {len(samples)} population(s) tests no homogeneity"
         )
-
-    return RunReport(
-        mode=obj["mode"],
-        config=config,
-        case=case,
-        populations=tuple(populations),
-        homogeneity=homogeneity,
-        selected_group=selected,
-        common=common,
-        warnings=tuple(obj["warnings"]),
-    )
+    return report
 
 
 # --------------------------------------------------------------------------

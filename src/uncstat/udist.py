@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DegenerateSampleError, NumericError
 
@@ -109,7 +109,7 @@ def _mean(terms: Iterable[float], m: int) -> float:
 
 
 def fit_moments(
-    values: Iterable[float],
+    values: Sequence[float],
     known_e: float | None = None,
     known_sigma: float | None = None,
 ) -> NormalUncertain:
@@ -124,19 +124,18 @@ def fit_moments(
     :class:`~uncstat.errors.DegenerateSampleError` when every value coincides
     with the location and no scale was supplied, and
     :class:`~uncstat.errors.NumericError` when a moment overflows double
-    precision.
+    precision.  ``values`` is used as given, so it holds floats already.
     """
-    vals = list(map(float, values))
-    if not vals:
+    m = len(values)
+    if not m:
         raise ValueError("cannot fit an empty sample")
-    m = len(vals)
-    e = float(known_e) if known_e is not None else _mean(vals, m)
+    e = float(known_e) if known_e is not None else _mean(values, m)
     if known_sigma is not None:
         sigma = float(known_sigma)
         if not sigma > 0.0:
             raise ValueError(f"known scale must be > 0, got {known_sigma!r}")
     else:
-        sigma = math.sqrt(_mean(((v - e) ** 2 for v in vals), m))
+        sigma = math.sqrt(_mean(((v - e) ** 2 for v in values), m))
         if sigma == 0.0:
             raise DegenerateSampleError(
                 "sample has zero spread about its location; supply a scale "

@@ -1,9 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uncstat as u
 from uncstat.cli import main
+from uncstat.pipeline import MODES
+from test_pipeline import data_files, mutate
 
 
 @pytest.fixture
@@ -71,6 +80,32 @@ class TestExitCodes:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"case": "nonsense"}), encoding="utf-8")
         assert run(["--data", data, "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ({"group_selection": "12"}, "group_selection must be a list of population ids"),
+            ({"group_selection": 5}, "group_selection must be a list of population ids"),
+            ({"populations": 5}, "populations must be a list"),
+            ({"populations": [{"id": None}]}, "population id must be a string, got None"),
+        ],
+        ids=["string-group", "number-group", "number-populations", "null-id"],
+    )
+    def test_mistyped_config_is_two(self, field_paths, tmp_path, capsys, tree, message):
+        data, _ = field_paths
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(tree), encoding="utf-8")
+        assert run(["--data", data, "--config", cfg, "--mode", "common"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_undecodable_config_is_two(self, field_paths, tmp_path, capsys):
+        data, _ = field_paths
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"alpha": 0.1\xff}')
+        assert run(["--data", data, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config is not UTF-8 text" in err and "Traceback" not in err
 
     def test_case_contradicting_pins_is_two(self, field_paths, tmp_path, capsys):
         data, _ = field_paths  # toothmarks pins nothing
@@ -229,3 +264,60 @@ class TestFlags:
     def test_unwritable_report_path_is_two(self, field_paths, tmp_path, capsys):
         data, config = field_paths
         assert run(["--data", data, "--config", config, "--report", tmp_path / "no" / "dir.txt"]) == 2
+
+
+def cli(argv):
+    """Exit code and standard error of one in-process run; an exception that
+    escapes ``main`` is the traceback a user would see, and fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+_RUNS = st.tuples(st.sampled_from(MODES), st.sampled_from(["text", "structured"]))
+
+# A config the fuzzed data can satisfy, for the config trees to start from.
+_CONFIG = {
+    "alpha": 0.05,
+    "case": "auto",
+    "populations": [
+        {"id": "a", "known_e": None, "known_sigma": 0.5},
+        {"id": "b", "known_e": None, "known_sigma": 1.0},
+    ],
+    "group_selection": ["a", "b"],
+    "common_case": "auto",
+    "theta0": {"e": 0.0, "sigma": 1.0},
+}
+_DATA = "population,value\n" + "".join(f"a,{v}\nb,{v + 0.25}\n" for v in (0.1, 0.4, 0.9, 1.3))
+
+
+class TestFuzz:
+    """Every input ends in a report (exit 0) or a typed error (2 or 3)."""
+
+    @given(text=data_files(), junk=st.sampled_from([b"", b"\xff", b"\xc3", b"\xed\xa0\x80"]),
+           at=st.integers(0, 200), how=_RUNS)
+    @settings(max_examples=100, deadline=None)
+    def test_any_data_file(self, text, junk, at, how):
+        raw = text.encode("utf-8")
+        raw = raw[:at] + junk + raw[at:]  # invalid UTF-8 when junk is drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "d.csv"
+            data.write_bytes(raw)
+            code, err = cli(["--data", data, "--mode", how[0], "--format", how[1],
+                             "--report", Path(tmp) / "r", "--plot-data", Path(tmp) / "p.csv"])
+        assert code in (0, 2, 3) and "Traceback" not in err
+
+    @given(data=st.data(), how=_RUNS)
+    @settings(max_examples=100, deadline=None)
+    def test_any_config_tree(self, data, how):
+        tree = copy.deepcopy(_CONFIG)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            mutate(tree, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp) / "d.csv", Path(tmp) / "c.json"
+            paths[0].write_text(_DATA, encoding="utf-8")
+            paths[1].write_text(json.dumps(tree), encoding="utf-8")
+            code, err = cli(["--data", paths[0], "--config", paths[1], "--mode", how[0],
+                             "--format", how[1], "--report", Path(tmp) / "r"])
+        assert code in (0, 2, 3) and "Traceback" not in err

@@ -6,11 +6,13 @@ workload (few large populations, scales pinned, all of them pooled).
 The text and plot digests were taken before the structured report moved to
 schema 2 and acceptance bands became derived from their source parameters,
 so they guard both the derived endpoints and the text and plot renderers.
-The structured digests were taken when the report moved to schema 3, which
-drops the pairwise decision records; the documents they pin are the
-schema 2 documents pinned before, with only the version number changed and
-the records removed.  They guard every value, fit, group and outlier
-position a run stores.
+The structured digests were taken when the report moved to schema 4, which
+stores only a run's inputs (mode, config, values and pins) and its
+homogeneous groups.  Each document they pin is the schema 3 document pinned
+before, with the version set to 4 and the case, fits, self-test outliers,
+selected group, pooled test and warnings deleted; that was checked on every
+document before the digests were replaced.  They guard every value, pin,
+config field and group a run stores.
 """
 
 import csv
@@ -64,34 +66,34 @@ PLOT = {
 # study -> mode -> SHA-256 of the structured report
 STRUCTURED = {
     "example1": {
-        "pipeline": "1400674f31158f1acb4ca7b82160d1d65bd7cf06e28560f23022c2bb3565cf74",
-        "fit": "fbdab660272348b511f17f1bb12a06d64dd18c886a81718e895fc93bd0bf0cfd",
-        "homogeneity": "6ca8dad5743ae713e6068edd1a898446ed1b05180e5632cc99bdd554bab6d367",
-        "common": "3f6777f1d08836542c59befcebbb4a142cd531a8dcbe9bc710d65d08b8b06457",
+        "pipeline": "34cc9c74ab2a92cee34872dcafcf497ffd7a0379ec13f833e79e2fe0029d0ebf",
+        "fit": "4a98e63cda05dffe128762c9f450deb1eee4d3be8dc49d9c9bccdc164d22edd3",
+        "homogeneity": "66524b85738189567bef3ab6809dd87d7f7e4293814c182e24b0a1f65331a668",
+        "common": "cacda628b6655a5ede128cbd3dbe0426fb250c300e7b7254ea6cc3b23c8ed97e",
     },
     "example2": {
-        "pipeline": "714982405a28a856efbfb1b90fcb87ea5b5919a1e3b9f22fab51e465bb864d4e",
-        "fit": "4bc6b7abfe817b76b43f99e6a9af119cd8de43f1c1a21e0612caea6545a263ed",
-        "homogeneity": "951e106b907fa95617fe553296503add5996ff18edc2826f604b057c9185e65c",
-        "common": "901c9e7dfa5dd50739dc646512ca3d3ff980f3a7808c79c2a85ddcca11f59eb7",
+        "pipeline": "5683f019a97789138cd0f1a35838274135cf2c992fa5e5c383e80514b905372f",
+        "fit": "6a80a6f0e2398f939210a9eb648015e05ec064c2a7072b432b488c3cf59e3de1",
+        "homogeneity": "827ab945e7fede91d7ebed4f989c3a963a27f2a8228bd59d68c3b00010e35574",
+        "common": "8ee51cbecb6307cdafb5deeedb81d4c76eb3401bee8d3eedcac20b6e165fe178",
     },
     "example3": {
-        "pipeline": "a7c4310b73fbc6348fac7690fd825179114a1b461073b6079107d003f517b79b",
-        "fit": "593dddb042ccaf9fc48ba5d5c6f805ce7f8652247d1271634c3350f74e92bc60",
-        "homogeneity": "3a73afda48669ad1d6fba38b38f7d31c856ee0dda3149c20e993b66beea5054f",
-        "common": "5c20c13448a04f095beb4f7eecc92c0f497abab09ad8fb0972378830eea9c781",
+        "pipeline": "e95a942f26208c9286634312e0d173cb9e937407746d748dc4fcc1b995a1c3f5",
+        "fit": "6619825f4fb6a854fd4b173ceceb91150a68797c38a012419bf1a577bc23d3bd",
+        "homogeneity": "ea1c99647226450e59b44875f120209edd390c2ec3fea5abfe7f2ae0d7da76bd",
+        "common": "23094d7744619e29f3eb547844ee11a65fa0c190d9c893438d781d6722f0c93d",
     },
     "toothmarks": {
-        "pipeline": "0449af75ed1890c9af81a031184de822c4dd5db87f6bf60d4fa7f3cf7b5487c5",
-        "fit": "f3060ac3b5d156023fec8f5ea46135fbf0b8f4f4e52e11d8e19d9489b037f889",
-        "homogeneity": "374bb880c1725da9a48acca2729cb10f6de197d36ad96f8913e803d3dc51f1f5",
-        "common": "276260303d6c93e88f32c6bbef9021c7579fd2a1f8d455a993365e3f695985ac",
+        "pipeline": "6064a51d12653c9fcb8d5a89c3f52ddbe730e6b3c5825e0ceb74d3b1a4db7469",
+        "fit": "4e741c55b670164db123206ab282cb05287e5b1986685968392964d814fe341e",
+        "homogeneity": "71f242831c730619a1b9de0c818497c22384c0dfa19fd6b52a9547a8064cc314",
+        "common": "812cdd091b5bf4c9afb774dd49ffee809933ec12f609880af4dbf40186b6b743",
     },
 }
 
 # format -> SHA-256 of the report of tall_shaped_study
 TALL = {
-    "structured": "e4155cd6fb1b5dfe1f114a68cdb2f89e9e4b224e4099a2918adc314357c8fb47",
+    "structured": "532f6531105033b88a6bad6db1624d209a86bcc4faea2d3943f7e5c33e648d4f",
     "text": "bb6c5dd38cb8302ec7216f98ec0dec1639e25de6974c9d61d2f3b16faf51fb84",
 }
 

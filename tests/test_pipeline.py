@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import operator
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 from pathlib import Path
@@ -24,7 +25,7 @@ from uncstat import (
     RunConfig,
     cross_interval,
 )
-from uncstat import pipeline, testing
+from uncstat import multi, pipeline, testing
 from uncstat.pipeline import MODES, _fmt3, config_from_dict, config_to_dict
 from test_multi import CASE_PATTERN, PIN_PATTERNS
 
@@ -538,6 +539,35 @@ class TestReportSerialisation:
                 band = cross_interval(parsed.case, sample, fit, parsed.alpha)
                 assert decision == testing.test_against_interval(sample, band)
 
+    @pytest.mark.parametrize(
+        "fixture_name",
+        ["example1_report", "example2_report", "example3_report", "toothmarks_report"],
+    )
+    def test_reload_runs_no_group_enumeration(self, request, fixture_name, monkeypatch):
+        # The benchmark's traced run counts these calls as the work of a run.
+        report = request.getfixturevalue(fixture_name)
+        document = u.emit_report(report, "structured")
+        calls = Counter()
+        for module, name in [
+            (multi, "pairwise_test"),
+            (multi, "homogeneous_groups"),
+            (pipeline, "homogeneity_test"),
+        ]:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert u.parse_report(document) == report
+        assert calls == Counter()
+        samples = [p.sample for p in report.populations]
+        u.run_pipeline(samples, report.config, report.mode)
+        assert calls == Counter(
+            pairwise_test=math.comb(len(samples), 2), homogeneous_groups=1, homogeneity_test=1
+        )
+
     def test_round_trip_of_truncated_modes(self, toothmarks):
         samples, config = toothmarks
         for mode in ("fit", "homogeneity", "common"):
@@ -546,8 +576,8 @@ class TestReportSerialisation:
 
     def test_schema_version_is_checked(self, toothmarks_report):
         obj = json.loads(u.emit_report(toothmarks_report, "structured"))
-        assert obj["schema_version"] == 3
-        for version in (1, 2, 99):
+        assert obj["schema_version"] == 4
+        for version in (1, 2, 3, 99):
             obj["schema_version"] = version
             with pytest.raises(DataFormatError, match="schema"):
                 u.parse_report(json.dumps(obj))
@@ -560,94 +590,171 @@ class TestReportSerialisation:
         document = u.emit_report(toothmarks_report, "structured")
         assert ", " not in document and ": " not in document
         obj = json.loads(document)
-        assert list(obj) == [
-            "schema_version", "mode", "case", "config", "populations",
-            "homogeneity", "selected_group", "common_test", "warnings",
-        ]
-        assert list(obj["populations"][0]) == [
-            "id", "known_e", "known_sigma", "values", "fit", "self_test_outliers",
-        ]
+        assert list(obj) == ["schema_version", "mode", "config", "populations", "homogeneity"]
+        assert list(obj["populations"][0]) == ["id", "known_e", "known_sigma", "values"]
         assert list(obj["homogeneity"]) == ["groups"]
         assert obj["homogeneity"]["groups"] == [["3", "4", "5", "6"], ["1"], ["2"]]
-        assert list(obj["common_test"]) == ["case", "theta0", "outliers", "diagnostics"]
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            lambda obj: {k: v for k, v in obj.items() if k != "populations"},
-            lambda obj: [obj],
-            lambda obj: {**obj, "homogeneity": {}},
-            lambda obj: {
-                **obj,
-                "populations": obj["populations"][:1],
-                "homogeneity": {"groups": [["1"]]},
-                "selected_group": ["1"],
-                "common_test": None,
-            },
-            lambda obj: {
-                **obj,
-                "populations": [{**obj["populations"][0], "fit": {"e": 2.0, "sigma": -1}}]
-                + obj["populations"][1:],
-            },
-            lambda obj: {**obj, "selected_group": ["3", "3", "4"]},
-            lambda obj: {**obj, "common_test": {**obj["common_test"], "outliers": [99]}},
-            lambda obj: {
-                **obj,
-                "populations": [
-                    {**p, "values": [str(v) for v in p["values"]]} for p in obj["populations"]
-                ],
-            },
-            lambda obj: {
-                **obj,
-                "populations": [{**obj["populations"][0], "values": [True] * 6}]
-                + obj["populations"][1:],
-            },
-            lambda obj: {
-                **obj,
-                "populations": [{**obj["populations"][0], "known_sigma": "0.1"}]
-                + obj["populations"][1:],
-            },
-            lambda obj: {
-                **obj,
-                "populations": [{**obj["populations"][0], "fit": {"e": "2.883", "sigma": 0.069}}]
-                + obj["populations"][1:],
-            },
-            lambda obj: {
-                **obj,
-                "common_test": {**obj["common_test"], "theta0": {"e": 2.5, "sigma": True}},
-            },
-            lambda obj: {
-                **obj,
-                "populations": [{**obj["populations"][0], "fit": {"e": 1e9, "sigma": 1e-12}}]
-                + obj["populations"][1:],
-            },
-            lambda obj: {
-                **obj,
-                "common_test": {**obj["common_test"], "theta0": {"e": 2.5, "sigma": 1e308}},
-            },
-            lambda obj: {**obj, "case": "means-unknown", "homogeneity": None},
-        ],
-        ids=[
-            "missing-populations",
-            "list-root",
-            "groups-missing",
-            "homogeneity-of-one-population",
-            "negative-scale",
-            "repeated-selected-population",
-            "outlier-position-out-of-range",
-            "string-values",
-            "boolean-values",
-            "string-known-scale",
-            "string-fitted-location",
-            "boolean-reference-scale",
-            "empty-self-test-band",
-            "infinite-pooled-band",
-            "case-contradicts-pins",
+            pytest.param(
+                lambda obj: {k: v for k, v in obj.items() if k != "populations"},
+                "report must be a mapping with keys",
+                id="missing-populations",
+            ),
+            pytest.param(lambda obj: [obj], "root must be a key/value mapping", id="list-root"),
+            pytest.param(
+                lambda obj: {**obj, "homogeneity": {}},
+                "homogeneity section must be a mapping",
+                id="groups-missing",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": obj["populations"][:1],
+                    "homogeneity": {"groups": [["1"]]},
+                },
+                r"with 1 population\(s\) tests no homogeneity",
+                id="homogeneity-of-one-population",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [{**p, "known_sigma": -1.0} for p in obj["populations"]],
+                },
+                "known scale must be > 0",
+                id="negative-known-scale",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj, "config": {**obj["config"], "group_selection": ["3", "3", "4"]}
+                },
+                "repeats a population id",
+                id="repeated-selected-population",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [
+                        {**p, "values": [str(v) for v in p["values"]]}
+                        for p in obj["populations"]
+                    ],
+                },
+                "list of numbers",
+                id="string-values",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [{**obj["populations"][0], "values": [True] * 6}]
+                    + obj["populations"][1:],
+                },
+                "list of numbers",
+                id="boolean-values",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [{**obj["populations"][0], "known_sigma": "0.1"}]
+                    + obj["populations"][1:],
+                },
+                "known_sigma must be a number",
+                id="string-known-scale",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj, "config": {**obj["config"], "theta0": {"e": 2.5, "sigma": True}}
+                },
+                "theta0.sigma must be a number",
+                id="boolean-reference-scale",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [
+                        {**p, "known_sigma": 1e-12, "values": [v + 1e9 for v in p["values"]]}
+                        for p in obj["populations"]
+                    ],
+                },
+                "NumericError: population '1': acceptance band .* is empty",
+                id="empty-self-test-band",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj, "config": {**obj["config"], "theta0": {"e": 2.5, "sigma": 1e308}}
+                },
+                "NumericError: acceptance band .* is not finite",
+                id="infinite-pooled-band",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "config": {**obj["config"], "case": "means-unknown"}},
+                "population '1' pins nothing, but in the means-unknown case",
+                id="case-contradicts-pins",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [obj["populations"][0], {**obj["populations"][1], "id": "1"}]
+                    + obj["populations"][2:],
+                },
+                "population ids must be unique",
+                id="duplicate-population-id",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "mode": "fit"},
+                r"mode 'fit' with 6 population\(s\) tests no homogeneity",
+                id="fit-mode-with-homogeneity",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "homogeneity": None},
+                "mode 'pipeline' tests homogeneity; the section is missing",
+                id="pipeline-mode-without-homogeneity",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "mode": "everything"},
+                "mode must be one of",
+                id="unknown-mode",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "populations": []},
+                "at least one population",
+                id="no-populations",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [{**obj["populations"][0], "id": 1}] + obj["populations"][1:],
+                },
+                "population id must be a string",
+                id="integer-population-id",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [
+                        {**obj["populations"][0], "fit": {"e": 2.883, "sigma": 0.069}}
+                    ]
+                    + obj["populations"][1:],
+                },
+                "population entry must be a mapping with keys",
+                id="unknown-population-key",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "warnings": []},
+                "report must be a mapping with keys",
+                id="unknown-root-key",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "homogeneity": {**obj["homogeneity"], "pairwise": []}},
+                "homogeneity section must be a mapping",
+                id="unknown-homogeneity-key",
+            ),
         ],
     )
-    def test_malformed_document(self, toothmarks_report, corrupt):
+    def test_malformed_document(self, toothmarks_report, corrupt, message):
         obj = corrupt(json.loads(u.emit_report(toothmarks_report, "structured")))
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=message):
             u.parse_report(json.dumps(obj))
 
     @pytest.mark.parametrize(
