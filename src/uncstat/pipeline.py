@@ -13,7 +13,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain, combinations, compress, count, repeat
 from pathlib import Path
@@ -53,7 +53,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 MODES = ("pipeline", "fit", "homogeneity", "common")
 
 _AUTO_COMMON = {
@@ -131,10 +131,6 @@ def _number(value: Any, what: str) -> float:
     return number
 
 
-def _optional_number(value: Any, what: str) -> float | None:
-    return None if value is None else _number(value, what)
-
-
 def config_from_dict(obj: Any) -> RunConfig:
     """Build a :class:`RunConfig` from a parsed key/value tree, strictly."""
     if not isinstance(obj, dict):
@@ -158,13 +154,8 @@ def config_from_dict(obj: Any) -> RunConfig:
             raise ConfigurationError("population entry lacks an id")
         if not isinstance(entry["id"], str):
             raise ConfigurationError(f"population id must be a string, got {entry['id']!r}")
-        populations.append(
-            PopulationConfig(
-                id=entry["id"],
-                known_e=_optional_number(entry.get("known_e"), "known_e"),
-                known_sigma=_optional_number(entry.get("known_sigma"), "known_sigma"),
-            )
-        )
+        pins = {k: _number(v, k) for k, v in entry.items() if k != "id" and v is not None}
+        populations.append(PopulationConfig(id=entry["id"], **pins))
 
     theta0 = None
     if obj.get("theta0") is not None:
@@ -342,6 +333,30 @@ def _add_rows(reader: Any, first: int, by_id: dict[str, list[float]]) -> None:
         raise DataFormatError(f"line {offset + reader.line_num}: {exc}") from None
 
 
+_Pins = tuple[float | None, float | None]
+
+
+def _join(
+    config: RunConfig, ids: Sequence[str], pins: Sequence[_Pins] | None = None
+) -> list[_Pins]:
+    """The one rule that joins a run's config to its data: every declared id
+    has data, and a declared population's pins are its sample's ``pins``,
+    which are taken from the config when not given.  Returns each id's pins.
+    """
+    declared = {p.id: (p.known_e, p.known_sigma) for p in config.populations}
+    missing = sorted(set(declared).difference(ids))
+    if missing:
+        raise ConfigurationError(f"populations declared in config but absent from data: {missing}")
+    pins = [declared.get(pid, (None, None)) for pid in ids] if pins is None else pins
+    for pid, own in zip(ids, pins):
+        if declared.get(pid, own) != own:
+            raise ConfigurationError(
+                f"population {pid!r}: its sample pins (known_e, known_sigma) = {own!r}, "
+                f"but the config pins {declared[pid]!r}"
+            )
+    return list(pins)
+
+
 def ingest(
     data_path: str | Path, config_path: str | Path | None = None
 ) -> tuple[list[PopulationSample], RunConfig]:
@@ -361,22 +376,8 @@ def ingest(
     if not by_id:
         raise DataFormatError("data file contains a header but no rows")
 
-    declared = {p.id: p for p in config.populations}
-    missing = sorted(set(declared) - set(by_id))
-    if missing:
-        raise ConfigurationError(f"populations declared in config but absent from data: {missing}")
-
-    samples = []
-    for pid, values in by_id.items():
-        pc = declared.get(pid)
-        samples.append(
-            PopulationSample(
-                id=pid,
-                values=tuple(values),
-                known_e=None if pc is None else pc.known_e,
-                known_sigma=None if pc is None else pc.known_sigma,
-            )
-        )
+    pins = _join(config, list(by_id))
+    samples = [PopulationSample(pid, v, *p) for (pid, v), p in zip(by_id.items(), pins)]
     return samples, config
 
 
@@ -414,7 +415,7 @@ class RunReport:
     """Complete, serialisable record of one pipeline run."""
 
     mode: str
-    config: RunConfig
+    config: RunConfig  # as run: its populations are those that pin, in sample order
     case: ParameterCase
     populations: tuple[PopulationReport, ...]
     homogeneity: HomogeneityResult | None
@@ -473,6 +474,9 @@ def _run(
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("population ids must be unique")
+    _join(config, ids, [(s.known_e, s.known_sigma) for s in samples])
+    pinned = [PopulationConfig(s.id, s.known_e, s.known_sigma) for s in samples if any(s.pins)]
+    config = replace(config, populations=tuple(pinned))
 
     warnings: list[str] = []
     populations = []
@@ -561,14 +565,14 @@ def _select_group(
 # Every key of a document and of each of its population entries; a reader
 # rejects a document with any other.
 _REPORT_KEYS = ("schema_version", "mode", "config", "populations", "homogeneity")
-_POPULATION_KEYS = ("id", "known_e", "known_sigma", "values")
+_POPULATION_KEYS = ("id", "values")
 
 
 def report_to_dict(report: RunReport) -> dict[str, Any]:
     """Versioned tree of a run's inputs and the groups it found.
 
-    The mode, config, data and pins are what :func:`report_from_dict` runs
-    the pipeline's stages on again; the discovered groups are kept, since
+    The mode, config (the one place of the pins) and data are what
+    :func:`report_from_dict` runs the pipeline's stages on again; the discovered groups are kept, since
     enumerating them again has no bound.
     """
     return {
@@ -576,13 +580,7 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
         "mode": report.mode,
         "config": config_to_dict(report.config),
         "populations": [
-            {
-                "id": p.sample.id,
-                "known_e": p.sample.known_e,
-                "known_sigma": p.sample.known_sigma,
-                "values": list(p.sample.values),
-            }
-            for p in report.populations
+            {"id": p.sample.id, "values": list(p.sample.values)} for p in report.populations
         ],
         "homogeneity": None
         if report.homogeneity is None
@@ -617,31 +615,21 @@ def _check_keys(obj: Any, keys: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} must be a mapping with keys {list(keys)}, got {found}")
 
 
-def _numbers(values: Any) -> list[float]:
-    """A list of numbers, as given; booleans are not numbers here."""
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise ValueError("values must be a list of numbers")
-    return values
-
-
 def _report_from_dict(obj: dict[str, Any]) -> RunReport:
     _check_keys(obj, _REPORT_KEYS, "report")
+    config = config_from_dict(obj["config"])
     entries = obj["populations"]
     if not isinstance(entries, list):
         raise ValueError("populations must be a list")
-    samples = []
     for entry in entries:
         _check_keys(entry, _POPULATION_KEYS, "population entry")
         if not isinstance(entry["id"], str):
             raise ValueError(f"population id must be a string, got {entry['id']!r}")
-        samples.append(
-            PopulationSample(
-                id=entry["id"],
-                values=_numbers(entry["values"]),
-                known_e=_optional_number(entry["known_e"], "known_e"),
-                known_sigma=_optional_number(entry["known_sigma"], "known_sigma"),
-            )
-        )
+    ids = [entry["id"] for entry in entries]
+    samples = [
+        PopulationSample(pid, entry["values"], *pins)
+        for pid, entry, pins in zip(ids, entries, _join(config, ids))
+    ]
     stored = obj["homogeneity"]
 
     def check_stored_groups(
@@ -660,7 +648,11 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
         groups = check_groups([s.id for s, _ in group], pairwise, stored["groups"])
         return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
 
-    report = _run(samples, config_from_dict(obj["config"]), obj["mode"], check_stored_groups)
+    report = _run(samples, config, obj["mode"], check_stored_groups)
+    if report.config != config:
+        raise ValueError(
+            "config.populations must list each population that pins a parameter, in sample order"
+        )
     if stored is not None and report.homogeneity is None:
         raise ValueError(
             f"mode {report.mode!r} with {len(samples)} population(s) tests no homogeneity"
@@ -820,30 +812,29 @@ def export_data(report: RunReport) -> str:
     return out.getvalue()
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a :func:`csv.writer` of rows ending in ``"\\n"`` writes it in a field."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])  # quoting depends on the terminator
+    return out.getvalue()[:-1]
+
+
 def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
     """Write long-format rows for external plotting: every data point against
     every parameter source of the homogeneity matrix, with its band and flag.
+
+    Rows are written as they are made, so memory does not grow with them.
     """
-    rows: list[list[Any]] = []
     bands = CrossTests(report.case, report.alpha)
-    for data in report.populations:
-        for source in report.populations:
-            band = bands.band(data.sample, source.fit)
-            for idx, value in enumerate(data.sample.values, start=1):
-                rows.append(
-                    [
-                        data.sample.id,
-                        idx,
-                        repr(value),
-                        source.sample.id,
-                        repr(band.lower),
-                        repr(band.upper),
-                        "true" if (value < band.lower or value > band.upper) else "false",
-                    ]
-                )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["population", "index", "value", "interval_source", "lower", "upper", "is_outlier"]
-        )
-        writer.writerows(rows)
+        fh.write("population,index,value,interval_source,lower,upper,is_outlier\n")
+        for data in report.populations:
+            pid, values = _csv_field(data.sample.id), data.sample.values
+            for source in report.populations:
+                band = bands.band(data.sample, source.fit)
+                lower, upper = band.lower, band.upper
+                tail = f"{_csv_field(source.sample.id)},{lower!r},{upper!r},"
+                fh.writelines(
+                    f"{pid},{idx},{v!r},{tail}{'true' if v < lower or v > upper else 'false'}\n"
+                    for idx, v in enumerate(values, start=1)
+                )

@@ -69,11 +69,6 @@ class MergedSample:
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def origins(self) -> tuple[tuple[str, int], ...]:
-        """(population id, 1-based original index) of every merged position."""
-        return tuple((pid, idx) for pid, size in self.parts for idx in range(1, size + 1))
-
     def origin_of(self, merged_index: int) -> tuple[str, int]:
         """Map a 1-based merged position back to its source data point."""
         if not 1 <= merged_index <= self.n:

@@ -47,7 +47,16 @@ class PopulationSample:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("population id must be non-empty")
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        values = tuple(self.values)
+        if not set(map(type, values)) <= {float}:  # plain floats need no second pass
+            for v in values:
+                if type(v) is not int and not isinstance(v, float):  # bool subclasses int
+                    raise TypeError(
+                        f"population {self.id!r}: values must be int or float, "
+                        f"got {type(v).__name__} {v!r}"
+                    )
+            values = tuple(map(float, values))
+        object.__setattr__(self, "values", values)
         if not self.values:
             raise ValueError(f"population {self.id!r} has no observations")
         # The sum of finite values is finite unless it overflows on its own;

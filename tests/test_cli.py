@@ -115,6 +115,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "population '1'" in err and "sigmas-unknown" in err and "Traceback" not in err
 
+    def test_config_population_without_data_is_two(self, field_paths, tmp_path, capsys):
+        data, _ = field_paths
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"populations": [{"id": "ghost", "known_e": 1.0}]}), "utf-8")
+        assert run(["--data", data, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "absent from data: ['ghost']" in err and "Traceback" not in err
+
     def test_bad_alpha_is_two(self, field_paths, capsys):
         data, config = field_paths
         assert run(["--data", data, "--config", config, "--alpha", "1.5"]) == 2

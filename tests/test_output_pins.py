@@ -6,13 +6,17 @@ workload (few large populations, scales pinned, all of them pooled).
 The text and plot digests were taken before the structured report moved to
 schema 2 and acceptance bands became derived from their source parameters,
 so they guard both the derived endpoints and the text and plot renderers.
-The structured digests were taken when the report moved to schema 4, which
-stores only a run's inputs (mode, config, values and pins) and its
-homogeneous groups.  Each document they pin is the schema 3 document pinned
-before, with the version set to 4 and the case, fits, self-test outliers,
-selected group, pooled test and warnings deleted; that was checked on every
-document before the digests were replaced.  They guard every value, pin,
-config field and group a run stores.
+The structured digests were taken when the report moved to schema 5, which
+stores a run's inputs (mode, config, values) and its homogeneous groups,
+with each population's pins only in the config.  Each document they pin
+was derived from the schema 4 document of the same run: the version set to
+5, `known_e` and `known_sigma` deleted from every population entry, and
+`config.populations` reduced to the populations that pin a parameter, in
+sample order.  A script built each expected document that way from the
+previous code's output and compared it byte for byte with the new output,
+for all sixteen bundled documents and the tall-shaped study, before the
+digests were replaced.  They guard every value, pin, config field and
+group a run stores.
 """
 
 import csv
@@ -66,34 +70,34 @@ PLOT = {
 # study -> mode -> SHA-256 of the structured report
 STRUCTURED = {
     "example1": {
-        "pipeline": "34cc9c74ab2a92cee34872dcafcf497ffd7a0379ec13f833e79e2fe0029d0ebf",
-        "fit": "4a98e63cda05dffe128762c9f450deb1eee4d3be8dc49d9c9bccdc164d22edd3",
-        "homogeneity": "66524b85738189567bef3ab6809dd87d7f7e4293814c182e24b0a1f65331a668",
-        "common": "cacda628b6655a5ede128cbd3dbe0426fb250c300e7b7254ea6cc3b23c8ed97e",
+        "pipeline": "c4a9224510b43a1461f06fc08257f628299d000be80ef7dec8204fa555ded1c0",
+        "fit": "ce35914b54856d7b76f4bb2916ba019d0b49c70a0c11b7bd173401677300f03b",
+        "homogeneity": "26948c04681c0164324ece6c990af95ce3a4df91c1770927faeaf9105c5f2d1e",
+        "common": "1ca7dfcadadf2c8dda2f3801b647ae7dc6c5d2cc2cde577d64d22828d5b1281e",
     },
     "example2": {
-        "pipeline": "5683f019a97789138cd0f1a35838274135cf2c992fa5e5c383e80514b905372f",
-        "fit": "6a80a6f0e2398f939210a9eb648015e05ec064c2a7072b432b488c3cf59e3de1",
-        "homogeneity": "827ab945e7fede91d7ebed4f989c3a963a27f2a8228bd59d68c3b00010e35574",
-        "common": "8ee51cbecb6307cdafb5deeedb81d4c76eb3401bee8d3eedcac20b6e165fe178",
+        "pipeline": "ea78643b5fb811c22c08e4ddebc1873dc9a681a087c6f336ff3ea43425124cf8",
+        "fit": "9509ccd5b3eb2efabe459a01b5747a6ee5b266777f53e1c6c8a43308b03a3c4a",
+        "homogeneity": "66fc596445a9a8856c64bedbd8a2e6a52ede6ac9dbba09d081a8c8afb6f2d484",
+        "common": "e580b6b660f4042db9466da8db34e6cc113c810de294f598f5a6ee2045901deb",
     },
     "example3": {
-        "pipeline": "e95a942f26208c9286634312e0d173cb9e937407746d748dc4fcc1b995a1c3f5",
-        "fit": "6619825f4fb6a854fd4b173ceceb91150a68797c38a012419bf1a577bc23d3bd",
-        "homogeneity": "ea1c99647226450e59b44875f120209edd390c2ec3fea5abfe7f2ae0d7da76bd",
-        "common": "23094d7744619e29f3eb547844ee11a65fa0c190d9c893438d781d6722f0c93d",
+        "pipeline": "11d4030230d346337431ed5af1ff6043baeb8bd06225f321d0d44fa001b2d936",
+        "fit": "2f78fe5719c17c055bbdc08fbb778ed3316d4eca5d8e7762d552ffcb9a7aa503",
+        "homogeneity": "664d77f62eb144a5c8bd9bae697bca0547d050a54efd5401fb6a96c598c27778",
+        "common": "fbe38c5a921eae4de51a2be5d0899e16108559159ad9c877db7a4de9478874a1",
     },
     "toothmarks": {
-        "pipeline": "6064a51d12653c9fcb8d5a89c3f52ddbe730e6b3c5825e0ceb74d3b1a4db7469",
-        "fit": "4e741c55b670164db123206ab282cb05287e5b1986685968392964d814fe341e",
-        "homogeneity": "71f242831c730619a1b9de0c818497c22384c0dfa19fd6b52a9547a8064cc314",
-        "common": "812cdd091b5bf4c9afb774dd49ffee809933ec12f609880af4dbf40186b6b743",
+        "pipeline": "a03caeec4be6959c97f0111a3fb95d05d16db19db7fa097baf3bf6c6d4264c4d",
+        "fit": "018d118b9e9fb28c2393a4be8263a5feb20f0c9a3cf5d6eed5b8f02eb2a60695",
+        "homogeneity": "0d4306f4570ad6e4700a1ccc33ca8072667f7ec91eac2ef5e469ff6e6ac05517",
+        "common": "7fab78c2eb39fd71e28b4f7d6e830216705f4ab1f7796fcc798cc6b3dc7c02df",
     },
 }
 
 # format -> SHA-256 of the report of tall_shaped_study
 TALL = {
-    "structured": "532f6531105033b88a6bad6db1624d209a86bcc4faea2d3943f7e5c33e648d4f",
+    "structured": "6ac878156adc35436345420a1965d491c639d05a9ce5e8f02d2a115eafdbaf58",
     "text": "bb6c5dd38cb8302ec7216f98ec0dec1639e25de6974c9d61d2f3b16faf51fb84",
 }
 

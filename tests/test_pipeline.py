@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import operator
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from itertools import combinations
@@ -448,6 +449,37 @@ class TestRunPipeline:
         report = u.run_pipeline(samples, config)
         assert report.common.theta0 == override
 
+    def test_pin_contradicting_the_config_is_an_error(self, example1):
+        samples, config = example1
+        from dataclasses import replace
+
+        assert config.populations[0] == PopulationConfig("1", known_e=4.5)
+        samples = [replace(samples[0], known_e=14.5)] + samples[1:]
+        message = r"population '1': its sample pins .*14\.5.*the config pins .*4\.5"
+        with pytest.raises(ConfigurationError, match=message):
+            u.run_pipeline(samples, config)
+
+    def test_config_population_without_data_is_an_error(self, toothmarks):
+        samples, config = toothmarks
+        from dataclasses import replace
+
+        config = replace(config, populations=(PopulationConfig("ghost", known_e=1.0),))
+        with pytest.raises(ConfigurationError, match=r"absent from data: \['ghost'\]"):
+            u.run_pipeline(samples, config)
+
+    def test_report_config_lists_the_pinning_populations_in_sample_order(self):
+        samples = [
+            PopulationSample("b", (1.0, 2.0, 4.0), known_sigma=1.0),
+            PopulationSample("a", (1.5, 2.5, 3.0), known_sigma=2.0),
+        ]
+        declared = RunConfig(populations=(PopulationConfig("a", known_sigma=2.0),))
+        report = u.run_pipeline(samples, declared, mode="fit")
+        pinned = (PopulationConfig("b", known_sigma=1.0), PopulationConfig("a", known_sigma=2.0))
+        assert report.config == RunConfig(populations=pinned)
+        unpinned = [PopulationSample(s.id, s.values) for s in samples]
+        listed = RunConfig(populations=(PopulationConfig("a"), PopulationConfig("b")))
+        assert u.run_pipeline(unpinned, listed, mode="fit").config == RunConfig()
+
     def test_each_population_is_fitted_once(self, toothmarks, monkeypatch):
         calls = []
 
@@ -517,6 +549,14 @@ def mutate(obj, data):
         parent[key] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS), label="swap"))
 
 
+def with_pins(obj, pins, ids=None):
+    """A report tree whose config gives each of ``ids`` (every population by
+    default) the pins ``pins``, and lists no other population."""
+    ids = [p["id"] for p in obj["populations"]] if ids is None else ids
+    listed = [{"id": pid, "known_e": None, "known_sigma": None, **pins} for pid in ids]
+    return {**obj, "config": {**obj["config"], "populations": listed}}
+
+
 class TestReportSerialisation:
     @pytest.mark.parametrize(
         "fixture_name",
@@ -576,8 +616,8 @@ class TestReportSerialisation:
 
     def test_schema_version_is_checked(self, toothmarks_report):
         obj = json.loads(u.emit_report(toothmarks_report, "structured"))
-        assert obj["schema_version"] == 4
-        for version in (1, 2, 3, 99):
+        assert obj["schema_version"] == 5
+        for version in (1, 2, 3, 4, 99):
             obj["schema_version"] = version
             with pytest.raises(DataFormatError, match="schema"):
                 u.parse_report(json.dumps(obj))
@@ -591,7 +631,8 @@ class TestReportSerialisation:
         assert ", " not in document and ": " not in document
         obj = json.loads(document)
         assert list(obj) == ["schema_version", "mode", "config", "populations", "homogeneity"]
-        assert list(obj["populations"][0]) == ["id", "known_e", "known_sigma", "values"]
+        assert list(obj["populations"][0]) == ["id", "values"]
+        assert obj["config"]["populations"] == []
         assert list(obj["homogeneity"]) == ["groups"]
         assert obj["homogeneity"]["groups"] == [["3", "4", "5", "6"], ["1"], ["2"]]
 
@@ -619,10 +660,7 @@ class TestReportSerialisation:
                 id="homogeneity-of-one-population",
             ),
             pytest.param(
-                lambda obj: {
-                    **obj,
-                    "populations": [{**p, "known_sigma": -1.0} for p in obj["populations"]],
-                },
+                lambda obj: with_pins(obj, {"known_sigma": -1.0}),
                 "known scale must be > 0",
                 id="negative-known-scale",
             ),
@@ -641,7 +679,7 @@ class TestReportSerialisation:
                         for p in obj["populations"]
                     ],
                 },
-                "list of numbers",
+                "population '1': values must be int or float, got str",
                 id="string-values",
             ),
             pytest.param(
@@ -650,15 +688,11 @@ class TestReportSerialisation:
                     "populations": [{**obj["populations"][0], "values": [True] * 6}]
                     + obj["populations"][1:],
                 },
-                "list of numbers",
+                "population '1': values must be int or float, got bool",
                 id="boolean-values",
             ),
             pytest.param(
-                lambda obj: {
-                    **obj,
-                    "populations": [{**obj["populations"][0], "known_sigma": "0.1"}]
-                    + obj["populations"][1:],
-                },
+                lambda obj: with_pins(obj, {"known_sigma": "0.1"}),
                 "known_sigma must be a number",
                 id="string-known-scale",
             ),
@@ -671,14 +705,33 @@ class TestReportSerialisation:
             ),
             pytest.param(
                 lambda obj: {
-                    **obj,
+                    **with_pins(obj, {"known_sigma": 1e-12}),
                     "populations": [
-                        {**p, "known_sigma": 1e-12, "values": [v + 1e9 for v in p["values"]]}
+                        {**p, "values": [v + 1e9 for v in p["values"]]}
                         for p in obj["populations"]
                     ],
                 },
                 "NumericError: population '1': acceptance band .* is empty",
                 id="empty-self-test-band",
+            ),
+            pytest.param(
+                lambda obj: {
+                    **obj,
+                    "populations": [{**obj["populations"][0], "known_e": 14.5}]
+                    + obj["populations"][1:],
+                },
+                "population entry must be a mapping with keys",
+                id="pin-in-population-entry",
+            ),
+            pytest.param(
+                lambda obj: with_pins(obj, {"known_e": 1.0}, ids=["ghost"]),
+                r"absent from data: \['ghost'\]",
+                id="ghost-in-config",
+            ),
+            pytest.param(
+                lambda obj: with_pins(obj, {}, ids=["1"]),
+                "config.populations must list each population that pins a parameter",
+                id="unpinned-population-in-config",
             ),
             pytest.param(
                 lambda obj: {
@@ -755,6 +808,16 @@ class TestReportSerialisation:
     def test_malformed_document(self, toothmarks_report, corrupt, message):
         obj = corrupt(json.loads(u.emit_report(toothmarks_report, "structured")))
         with pytest.raises(DataFormatError, match=message):
+            u.parse_report(json.dumps(obj))
+
+    def test_config_lists_the_pins_in_sample_order(self, example1_report):
+        obj = json.loads(u.emit_report(example1_report, "structured"))
+        assert obj["config"]["populations"] == [
+            {"id": pid, "known_e": e, "known_sigma": None}
+            for pid, e in [("1", 4.5), ("2", 5.0), ("3", 5.5)]
+        ]
+        obj["config"]["populations"].reverse()
+        with pytest.raises(DataFormatError, match="in sample order"):
             u.parse_report(json.dumps(obj))
 
     @pytest.mark.parametrize(
@@ -920,3 +983,39 @@ class TestPlotData:
         u.emit_plot_data(toothmarks_report, tmp_path / "a.csv")
         u.emit_plot_data(parsed, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_the_rows(self, example1, tmp_path):
+        samples, config = example1
+        from dataclasses import replace
+
+        def peak(repeat):
+            grown = [replace(s, values=s.values * repeat) for s in samples]
+            report = u.run_pipeline(grown, config, mode="fit")
+            tracemalloc.start()
+            try:
+                u.emit_plot_data(report, tmp_path / "plot.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Rows held in a list before writing made the peak five times larger.
+        assert peak(10) <= 1.1 * peak(1)
+
+    def test_rows_match_the_csv_writer_for_any_id(self, tmp_path):
+        ids = ["x,y", 'q"t', "a\nb", "c\rd", "c\r\nd", " s ", "1"]
+        samples = [PopulationSample(pid, (k, k + 1.5, k + 2.25)) for k, pid in enumerate(ids)]
+        report = u.run_pipeline(samples, RunConfig(), mode="fit")
+        u.emit_plot_data(report, tmp_path / "plot.csv")
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["population", "index", "value", "interval_source", "lower", "upper",
+                         "is_outlier"])
+        bands = multi.CrossTests(report.case, report.alpha)
+        for data in report.populations:
+            for source in report.populations:
+                band = bands.band(data.sample, source.fit)
+                for idx, v in enumerate(data.sample.values, start=1):
+                    outside = v < band.lower or v > band.upper
+                    writer.writerow([data.sample.id, idx, repr(v), source.sample.id,
+                                     repr(band.lower), repr(band.upper), str(outside).lower()])
+        assert (tmp_path / "plot.csv").read_bytes() == reference.getvalue().encode("utf-8")

@@ -77,7 +77,6 @@ class TestMerge:
     def test_single_population(self):
         merged = merge([("a", (1.0, 2.0))])
         assert merged.values == (1.0, 2.0)
-        assert merged.origins == (("a", 1), ("a", 2))
 
     def test_two_population_sizes(self, example2):
         samples, _ = example2
@@ -119,7 +118,6 @@ class TestMergedSample:
         explicit = []
         for pid, size in parts:
             explicit += [(pid, idx) for idx in range(1, size + 1)]
-        assert merged.origins == tuple(explicit)
         assert [merged.origin_of(k) for k in range(1, n + 1)] == explicit
         for outside in (0, n + 1):
             with pytest.raises(IndexError):

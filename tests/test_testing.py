@@ -56,6 +56,28 @@ class TestPopulationSample:
         with pytest.raises(ValueError):
             PopulationSample("a", (1.0,), known_sigma=-2.0)
 
+    @pytest.mark.parametrize(
+        "values, culprit",
+        [(("1.5", True, 2), "str '1.5'"), ((1.5, True, 2), "bool True"), ([1.0, None], "NoneType")],
+    )
+    def test_rejects_values_that_are_not_int_or_float(self, values, culprit):
+        message = f"population 'a': values must be int or float, got {culprit}"
+        with pytest.raises(TypeError, match=message):
+            PopulationSample("a", values)
+
+    def test_integers_become_floats(self):
+        values = PopulationSample("a", (1, 2)).values
+        assert values == (1.0, 2.0)
+        assert list(map(type, values)) == [float, float]
+
+    def test_float_subclass_is_a_float(self):
+        class Measured(float):
+            pass
+
+        values = PopulationSample("a", [Measured(1.5), 2.5]).values
+        assert values == (1.5, 2.5)
+        assert list(map(type, values)) == [float, float]
+
 
 class TestAcceptanceInterval:
     def test_field_study_band(self):
