@@ -14,14 +14,14 @@ The pairwise stage shares its work across pairs (:class:`CrossTests`): each
 band is built once per reference distribution, and each population keeps one
 sorted view of its candidates, the values outside the intersection of the
 bands it meets, so a band is counted by bisecting the candidates alone.
-Homogeneous groups are enumerated on neighbour bitsets, and groups read back
-from a report are checked against the same bitsets.
+Homogeneous groups are enumerated on neighbour bitsets by a clique search
+with a fixed work budget (:data:`CLIQUE_BUDGET`), on a run and on a reload
+alike.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .testing import (
     AcceptanceInterval,
     PopulationSample,
@@ -54,7 +54,7 @@ __all__ = [
     "pairwise_test",
     "homogeneity_test",
     "homogeneous_groups",
-    "check_groups",
+    "CLIQUE_BUDGET",
 ]
 
 
@@ -82,6 +82,11 @@ CASE_PINS = {
 
 # Populations with their fits, as the pairwise stage takes them.
 FittedGroup = Sequence[tuple[PopulationSample, NormalUncertain]]
+
+# Nodes the clique search may expand before homogeneous_groups gives up.  A
+# graph on n vertices can have 3**(n/3) maximal cliques (Moon & Moser 1965),
+# and the pivoted search expands O(3**(n/3)) nodes (Tomita et al. 2006).
+CLIQUE_BUDGET = 100_000
 
 
 def describe_pins(pins: tuple[bool, bool]) -> str:
@@ -185,11 +190,15 @@ class CrossTests:
     other member, and a value inside their intersection ``[lo, hi]`` is
     inside every one of them; so the member keeps those bands, keyed by the
     fit they come from, and only its candidates, the values outside
-    ``[lo, hi]``, sorted with their 1-based positions.  A band that contains
-    ``[lo, hi]`` is counted over the candidates by two bisections.  Any other
-    band, and any sample that is not a member, is counted by the linear scan
-    of :func:`~uncstat.testing.count_outliers`, the reference definition.
-    Decisions equal ``test_against_interval(pop_i, cross_interval(...))``.
+    ``[lo, hi]``, sorted with their 1-based positions.  Each of those bands
+    contains ``[lo, hi]``, so it is counted over the candidates by two
+    bisections.  Any other fit, and any sample that is not a member, is
+    counted by the linear scan of :func:`~uncstat.testing.count_outliers`,
+    the reference definition.  Decisions equal
+    ``test_against_interval(pop_i, cross_interval(...))``.
+
+    A :class:`~uncstat.errors.NumericError` from a member's band is raised
+    again with both populations' ids in front of its message.
     """
 
     def __init__(self, case: ParameterCase, alpha: float, group: FittedGroup = ()) -> None:
@@ -205,9 +214,14 @@ class CrossTests:
         for k, (sample, _) in enumerate(self._members):
             bands = {}
             lo, hi = -math.inf, math.inf
-            for j, (_, fit) in enumerate(self._members):
+            for j, (source, fit) in enumerate(self._members):
                 if j != k:
-                    band = bands[id(fit)] = self.band(sample, fit)
+                    try:
+                        band = bands[id(fit)] = self.band(sample, fit)
+                    except NumericError as exc:
+                        raise type(exc)(
+                            f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
+                        ) from None
                     lo = band.lower if band.lower > lo else lo
                     hi = band.upper if band.upper < hi else hi
             # Indices of the candidates, sorted by value.
@@ -216,7 +230,7 @@ class CrossTests:
             outside.sort(key=values.__getitem__)
             candidates = tuple(map(values.__getitem__, outside))
             positions = tuple([i + 1 for i in outside])
-            self._views[id(sample)] = (bands, lo, hi, candidates, positions)
+            self._views[id(sample)] = (bands, candidates, positions)
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
@@ -229,14 +243,10 @@ class CrossTests:
     def decide(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> TestDecision:
         """Test ``pop_i``'s data against the band built from ``fit_j``."""
         view = self._views.get(id(pop_i))
-        if view is None:
+        band = None if view is None else view[0].get(id(fit_j))
+        if band is None:  # not a member, or not another member's fit
             return test_against_interval(pop_i, self.band(pop_i, fit_j))
-        bands, lo, hi, candidates, positions = view
-        band = bands.get(id(fit_j))
-        if band is None:  # not another member's fit, whose band contains [lo, hi]
-            band = self.band(pop_i, fit_j)
-            if not (band.lower <= lo and hi <= band.upper):
-                return test_against_interval(pop_i, band)
+        _, candidates, positions = view
         # An endpoint value is inside: bisect_left stops before it at the
         # lower end, bisect_right passes it at the upper end.
         outliers = positions[: bisect_left(candidates, band.lower)]
@@ -300,54 +310,9 @@ def homogeneous_groups(
     singletons.
     """
     id_list = list(ids)
-    _, neighbours = _graph(id_list, pairwise)
+    neighbours = _graph(id_list, pairwise)
     cliques = [sorted(id_list[v] for v in _bits(c)) for c in _maximal_cliques(neighbours)]
     return tuple(frozenset(c) for c in sorted(cliques, key=_group_order))
-
-
-def check_groups(
-    ids: Sequence[str],
-    pairwise: Sequence[PairwiseDecision],
-    groups: Iterable[Sequence[str]],
-) -> tuple[frozenset[str], ...]:
-    """``groups``, each listing its ids in sorted order, as
-    :func:`homogeneous_groups` would return them, after checking that they
-    could be its result.
-
-    Each group must be a maximal clique of the pairwise-homogeneity graph,
-    every id must be in a group, and the groups must be distinct and sorted
-    as :func:`homogeneous_groups` sorts them.  Whether every maximal clique
-    is listed is not checked: that takes the enumeration this avoids.
-    Raises ValueError naming the first group that fails.
-    """
-    index, neighbours = _graph(ids, pairwise)
-    everyone = (1 << len(neighbours)) - 1
-    covered = 0
-    listed: list[list[str]] = []
-    for group in groups:
-        members = list(group)
-        if members != sorted(set(members)):
-            raise ValueError(f"group {members} must list distinct ids in sorted order")
-        clique = 0
-        for pid in members:
-            if pid not in index:
-                raise ValueError(f"group {members} names an unknown population {pid!r}")
-            clique |= 1 << index[pid]
-        shared = everyone  # vertices homogeneous with every member
-        for v in _bits(clique):
-            if clique & ~neighbours[v] != 1 << v:
-                raise ValueError(f"group {members} holds a heterogeneous pair")
-            shared &= neighbours[v]
-        if shared:
-            raise ValueError(f"group {members} is not maximal")
-        covered |= clique
-        listed.append(members)
-    if covered != everyone:
-        raise ValueError("every population must be in a group")
-    keys = list(map(_group_order, listed))
-    if not all(map(operator.lt, keys, keys[1:])):
-        raise ValueError("groups must be distinct and sorted by descending size, then members")
-    return tuple(map(frozenset, listed))
 
 
 def _group_order(members: list[str]) -> tuple[int, list[str]]:
@@ -355,12 +320,10 @@ def _group_order(members: list[str]) -> tuple[int, list[str]]:
     return -len(members), members
 
 
-def _graph(
-    ids: Sequence[str], pairwise: Sequence[PairwiseDecision]
-) -> tuple[dict[str, int], list[int]]:
-    """Index of each id and neighbour bitsets of the pairwise-homogeneity
-    graph: bit ``b`` of ``neighbours[a]`` is set when populations ``a`` and
-    ``b`` are homogeneous.
+def _graph(ids: Sequence[str], pairwise: Sequence[PairwiseDecision]) -> list[int]:
+    """Neighbour bitsets of the pairwise-homogeneity graph on the positions
+    of ``ids``: bit ``b`` of ``neighbours[a]`` is set when populations ``a``
+    and ``b`` are homogeneous.
 
     Raises ValueError unless the ids are unique and ``pairwise`` holds one
     decision for each pair of them.
@@ -387,7 +350,7 @@ def _graph(
         pairs = combinations(range(n), 2)
         missing = sorted(tuple(sorted(ids[k] for k in ab)) for ab in pairs if ab not in seen)
         raise ValueError(f"pairwise decisions missing for pairs: {missing}")
-    return index, neighbours
+    return neighbours
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -401,21 +364,35 @@ def _bits(mask: int) -> Iterator[int]:
 def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
     """Every maximal clique, as a bitset, of the graph on ``0..n-1`` whose
     neighbour bitsets are ``neighbours``: Bron–Kerbosch with Tomita's pivot
-    (most neighbours among the candidates) lists each exactly once."""
-    cliques: list[int] = []
+    (most neighbours among the candidates) lists each exactly once.
 
-    def expand(clique: int, candidates: int, excluded: int) -> None:
-        if not candidates and not excluded:
-            cliques.append(clique)
-            return
+    The search tree's nodes, ``(clique, candidates, excluded)`` bitsets, wait
+    on an explicit stack, so the depth of a clique is not limited by the
+    recursion limit.  Raises ConfigurationError when the search would expand
+    more than :data:`CLIQUE_BUDGET` nodes.
+    """
+    cliques: list[int] = []
+    stack = [(0, (1 << len(neighbours)) - 1, 0)]
+    expansions = 0
+    while stack:
+        expansions += 1
+        if expansions > CLIQUE_BUDGET:
+            raise ConfigurationError(
+                f"the homogeneous groups are too many to list: {len(cliques)} found before "
+                f"the clique search reached its budget of {CLIQUE_BUDGET} steps; test a "
+                "chosen group with --mode common and --group instead"
+            )
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                cliques.append(clique)
+            continue
         pivot = max(
             _bits(candidates | excluded), key=lambda v: (neighbours[v] & candidates).bit_count()
         )
         for v in _bits(candidates & ~neighbours[pivot]):
             bit = 1 << v
-            expand(clique | bit, candidates & neighbours[v], excluded & neighbours[v])
+            stack.append((clique | bit, candidates & neighbours[v], excluded & neighbours[v]))
             candidates &= ~bit
             excluded |= bit
-
-    expand(0, (1 << len(neighbours)) - 1, 0)
     return cliques

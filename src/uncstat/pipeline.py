@@ -1,9 +1,8 @@
 """End-to-end pipeline: ingest data and configuration, fit and self-verify
 every population, test homogeneity, discover homogeneous groups, and run the
 pooled test on a selected group.  Reports serialize to a stable, versioned
-structure that stores a run's inputs and its groups, from which
-:func:`parse_report` runs the same stages again, and render as plain-text
-tables.
+structure that stores a run's inputs, from which :func:`parse_report` runs
+the same stages again, and render as plain-text tables.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from .multi import (
     PairwiseDecision,
     ParameterCase,
     check_case,
-    check_groups,
     describe_pins,
     homogeneity_test,
+    homogeneous_groups,
 )
 from .pooling import CommonCase, CommonTestResult, common_test
 from .testing import PopulationSample, TestDecision, band_quantiles, fit_and_verify
@@ -53,7 +52,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 MODES = ("pipeline", "fit", "homogeneity", "common")
 
 _AUTO_COMMON = {
@@ -461,9 +460,8 @@ def _run(
 ) -> RunReport:
     """The stages of :func:`run_pipeline`, shared with :func:`report_from_dict`.
 
-    ``test_homogeneity`` takes what :func:`homogeneity_test` takes and finds
-    the homogeneous groups: a run enumerates them, a reload checks the groups
-    its document stores.
+    ``test_homogeneity`` is :func:`homogeneity_test` on a run and
+    :func:`_rederive_homogeneity` on a reload.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -564,16 +562,14 @@ def _select_group(
 
 # Every key of a document and of each of its population entries; a reader
 # rejects a document with any other.
-_REPORT_KEYS = ("schema_version", "mode", "config", "populations", "homogeneity")
+_REPORT_KEYS = ("schema_version", "mode", "config", "populations")
 _POPULATION_KEYS = ("id", "values")
 
 
 def report_to_dict(report: RunReport) -> dict[str, Any]:
-    """Versioned tree of a run's inputs and the groups it found.
-
-    The mode, config (the one place of the pins) and data are what
-    :func:`report_from_dict` runs the pipeline's stages on again; the discovered groups are kept, since
-    enumerating them again has no bound.
+    """Versioned tree of a run's inputs: the mode, config (the one place of
+    the pins) and data that :func:`report_from_dict` runs the pipeline's
+    stages on again.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -582,15 +578,12 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
         "populations": [
             {"id": p.sample.id, "values": list(p.sample.values)} for p in report.populations
         ],
-        "homogeneity": None
-        if report.homogeneity is None
-        else {"groups": [sorted(g) for g in report.homogeneity.groups]},
     }
 
 
 def report_from_dict(obj: Any) -> RunReport:
     """Inverse of :func:`report_to_dict`: the stored inputs run through the
-    pipeline's stages, with the stored groups checked instead of enumerated.
+    pipeline's stages.
 
     Raises :class:`DataFormatError` for any other schema version and for any
     document that does not describe a valid report, including one whose
@@ -630,34 +623,30 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
         PopulationSample(pid, entry["values"], *pins)
         for pid, entry, pins in zip(ids, entries, _join(config, ids))
     ]
-    stored = obj["homogeneity"]
-
-    def check_stored_groups(
-        group: FittedGroup, case: ParameterCase, alpha: float
-    ) -> HomogeneityResult:
-        if stored is None:
-            raise ValueError(f"mode {obj['mode']!r} tests homogeneity; the section is missing")
-        _check_keys(stored, ("groups",), "homogeneity section")
-        tests = CrossTests(case, alpha, group)
-        # Decided here rather than by pairwise_test, whose calls trace the
-        # pairs a run tests.
-        pairwise = tuple(
-            PairwiseDecision(a.id, b.id, tests.decide(a, fit_b), tests.decide(b, fit_a))
-            for (a, fit_a), (b, fit_b) in combinations(group, 2)
-        )
-        groups = check_groups([s.id for s, _ in group], pairwise, stored["groups"])
-        return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
-
-    report = _run(samples, config, obj["mode"], check_stored_groups)
+    report = _run(samples, config, obj["mode"], _rederive_homogeneity)
     if report.config != config:
         raise ValueError(
             "config.populations must list each population that pins a parameter, in sample order"
         )
-    if stored is not None and report.homogeneity is None:
-        raise ValueError(
-            f"mode {report.mode!r} with {len(samples)} population(s) tests no homogeneity"
-        )
     return report
+
+
+def _rederive_homogeneity(
+    group: FittedGroup, case: ParameterCase, alpha: float
+) -> HomogeneityResult:
+    """What :func:`homogeneity_test` returns for ``group``, for a reload.
+
+    The pairs are decided here rather than by ``pairwise_test``, and the
+    stage is not ``homogeneity_test``, because calls to those two trace the
+    work of a run.
+    """
+    tests = CrossTests(case, alpha, group)
+    pairwise = tuple(
+        PairwiseDecision(a.id, b.id, tests.decide(a, fit_b), tests.decide(b, fit_a))
+        for (a, fit_a), (b, fit_b) in combinations(group, 2)
+    )
+    groups = homogeneous_groups([s.id for s, _ in group], pairwise)
+    return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
 
 
 # --------------------------------------------------------------------------

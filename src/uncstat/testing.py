@@ -63,6 +63,22 @@ class PopulationSample:
         # only then, or when a value is not finite, is each value looked at.
         if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise ValueError(f"population {self.id!r} contains non-finite values")
+        for name in ("known_e", "known_sigma"):
+            pin = getattr(self, name)
+            if pin is None:
+                continue
+            if type(pin) is not int and not isinstance(pin, float):
+                raise TypeError(
+                    f"population {self.id!r}: {name} must be int or float, "
+                    f"got {type(pin).__name__} {pin!r}"
+                )
+            try:
+                pin = float(pin)
+            except OverflowError:  # an int beyond the largest double
+                pin = math.inf
+            if not math.isfinite(pin):
+                raise ValueError(f"population {self.id!r}: {name} must be finite, got {pin!r}")
+            object.__setattr__(self, name, pin)
         if self.known_sigma is not None and not self.known_sigma > 0.0:
             raise ValueError(
                 f"population {self.id!r}: known scale must be > 0, got {self.known_sigma!r}"

@@ -182,6 +182,30 @@ class TestExitCodes:
             assert "numeric error" in err and problem in err and "Traceback" not in err
             assert f"sigma={sigma!r}" in err and "level 0.05" in err
 
+    def test_empty_cross_band_names_both_populations(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = ["a,0", "a,1e-13", "a,-1e-13", "a,2e-13",
+                "b,1000000000.0", "b,1000000001.0", "b,1000000000.5"]
+        data.write_text("population,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        config = tmp_path / "c.json"
+        pinned = [{"id": "a", "known_sigma": 1e-12}, {"id": "b", "known_sigma": 1}]
+        config.write_text(json.dumps({"populations": pinned}), encoding="utf-8")
+        assert run(["--data", data, "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: population 'a' against the fit of 'b': acceptance band" in err
+        assert "is empty" in err and "Traceback" not in err
+
+    def test_groups_past_the_search_budget_are_two(self, field_paths, capsys, monkeypatch):
+        data, config = field_paths
+        document = u.emit_report(u.run_pipeline(*u.ingest(data, config)), "structured")
+        monkeypatch.setattr(u.multi, "CLIQUE_BUDGET", 2)
+        assert run(["--data", data, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "budget of 2 steps" in err and "--mode common and --group" in err
+        with pytest.raises(u.DataFormatError, match="budget of 2 steps"):
+            u.parse_report(document)
+        assert run(["--data", data, "--config", config, "--mode", "common"]) == 0
+
     def test_degenerate_sample_is_three(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("population,value\n1,2.0\n1,2.0\n1,2.0\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import re
+import sys
 from itertools import combinations
 from math import comb
 
@@ -27,7 +29,7 @@ from uncstat import (
     single_test,
     ufwer,
 )
-from uncstat.multi import check_case, check_groups
+from uncstat.multi import CLIQUE_BUDGET, _maximal_cliques, check_case
 
 
 def grid_values(min_size=3, max_size=12):
@@ -379,7 +381,7 @@ class TestCrossTests:
     @pytest.mark.parametrize("case", list(ParameterCase))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_a_band_not_covering_the_intersection_is_scanned(self, case, data):
+    def test_a_fit_from_outside_the_group_is_scanned(self, case, data):
         alpha = 0.05
         n = data.draw(st.integers(2, 6))
         locations = [data.draw(st.integers(-3, 3)) / 2 for _ in range(n)]
@@ -387,20 +389,18 @@ class TestCrossTests:
         tests = CrossTests(case, alpha, group)
         k = data.draw(st.integers(0, n - 1))
         sample = group[k][0]
-        lo, hi = self.intersection(case, alpha, group, k)
         far = NormalUncertain(10.0, 0.05)  # narrower than every member band, or beyond them
         drawn = NormalUncertain(
             data.draw(st.integers(-40, 40)) / 10, data.draw(st.integers(1, 30)) / 10
         )
-        for foreign in (far, drawn):
+        # A member's own fit is not another member's fit either.
+        for foreign in (far, drawn, group[k][1]):
             band = cross_interval(case, sample, foreign, alpha)
-            covers = band.lower <= lo and hi <= band.upper
-            assert not (foreign is far and covers)
             scans = Counting(uncstat.testing.count_outliers)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(uncstat.testing, "count_outliers", scans)
                 decision = tests.decide(sample, foreign)
-            assert scans.calls == (0 if covers else 1)
+            assert scans.calls == 1
             assert decision == uncstat.testing.test_against_interval(sample, band)
 
     def test_both_unknown_builds_one_band_per_population(self, toothmarks):
@@ -528,37 +528,23 @@ class TestHomogeneousGroups:
             if len(ga) == len(gb):
                 assert ka < kb
 
+    def test_search_past_its_budget_is_a_configuration_error(self):
+        # Moon-Moser with k = 11 expands (3**12 - 1) / 2 = 265,720 nodes of
+        # the search tree to list its 3**11 cliques.
+        assert (3**12 - 1) // 2 > CLIQUE_BUDGET
+        ids = [f"v{v:02d}" for v in range(33)]
+        pairwise = [make_pairwise(ids[u], ids[v], u // 3 != v // 3)
+                    for u, v in combinations(range(33), 2)]
+        with pytest.raises(ConfigurationError, match="--mode common and --group") as raised:
+            homogeneous_groups(ids, pairwise)
+        found = re.search(r"(\d+) found before .* budget of (\d+) steps", str(raised.value))
+        assert 0 < int(found[1]) < 3**11 and int(found[2]) == CLIQUE_BUDGET
 
-    @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_check_groups_accepts_exactly_what_enumeration_could_return(self, data):
-        n = data.draw(st.integers(2, 7))
-        ids = [str(k) for k in range(1, n + 1)]
-        pairs = list(combinations(ids, 2))
-        flags = [data.draw(st.booleans()) for _ in pairs]
-        pairwise = [make_pairwise(i, j, f) for (i, j), f in zip(pairs, flags)]
-        found = homogeneous_groups(ids, pairwise)
-        assert check_groups(ids, pairwise, [sorted(g) for g in found]) == found
-
-        edges = {frozenset(p) for p, f in zip(pairs, flags) if f}
-        cliques = brute_force_maximal_cliques(ids, edges)
-        subsets = st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True).map(sorted)
-        groups = data.draw(
-            st.lists(st.sampled_from(sorted(map(sorted, cliques))) | subsets, max_size=6)
-        )
-        if data.draw(st.booleans()):
-            groups.sort(key=lambda g: (-len(g), g))
-        keys = [(-len(g), g) for g in groups]
-        valid = (
-            all(frozenset(g) in cliques for g in groups)
-            and set().union(*groups) == set(ids)
-            and all(a < b for a, b in zip(keys, keys[1:]))
-        )
-        if valid:
-            assert check_groups(ids, pairwise, groups) == tuple(map(frozenset, groups))
-        else:
-            with pytest.raises(ValueError):
-                check_groups(ids, pairwise, groups)
+    def test_a_clique_deeper_than_the_recursion_limit(self):
+        n = 1500
+        everyone = (1 << n) - 1
+        assert n > sys.getrecursionlimit()
+        assert _maximal_cliques([everyone & ~(1 << v) for v in range(n)]) == [everyone]
 
 
 class TestRecords:

@@ -6,17 +6,17 @@ workload (few large populations, scales pinned, all of them pooled).
 The text and plot digests were taken before the structured report moved to
 schema 2 and acceptance bands became derived from their source parameters,
 so they guard both the derived endpoints and the text and plot renderers.
-The structured digests were taken when the report moved to schema 5, which
-stores a run's inputs (mode, config, values) and its homogeneous groups,
-with each population's pins only in the config.  Each document they pin
-was derived from the schema 4 document of the same run: the version set to
-5, `known_e` and `known_sigma` deleted from every population entry, and
-`config.populations` reduced to the populations that pin a parameter, in
-sample order.  A script built each expected document that way from the
-previous code's output and compared it byte for byte with the new output,
-for all sixteen bundled documents and the tall-shaped study, before the
-digests were replaced.  They guard every value, pin, config field and
-group a run stores.
+The structured digests were taken when the report moved to schema 6, which
+stores a run's inputs (mode, config, values) and nothing else, with each
+population's pins only in the config.  Each document they pin was derived
+from the schema 5 document of the same run: the version set to 6 and the
+`homogeneity` key (the stored groups) deleted.  A script built each
+expected document that way from the previous code's output, re-serialised
+with the same separators, and compared it byte for byte with the new
+output, for all sixteen bundled documents and the tall-shaped study, before
+the digests were replaced.  It also checked that the previous code's
+documents still matched the previous digests.  They guard every value, pin
+and config field a run stores.
 """
 
 import csv
@@ -70,34 +70,34 @@ PLOT = {
 # study -> mode -> SHA-256 of the structured report
 STRUCTURED = {
     "example1": {
-        "pipeline": "c4a9224510b43a1461f06fc08257f628299d000be80ef7dec8204fa555ded1c0",
-        "fit": "ce35914b54856d7b76f4bb2916ba019d0b49c70a0c11b7bd173401677300f03b",
-        "homogeneity": "26948c04681c0164324ece6c990af95ce3a4df91c1770927faeaf9105c5f2d1e",
-        "common": "1ca7dfcadadf2c8dda2f3801b647ae7dc6c5d2cc2cde577d64d22828d5b1281e",
+        "pipeline": "0dd2228d10616dc7be52b0873659a919b4f3d46a26f1b2c6be97041bb41c95db",
+        "fit": "30fb013f24211aaa8198b00fd12db86c56a11f51cd35dd07a5ad77de75d19e71",
+        "homogeneity": "dff76b8372bb661f53216affd4fda3d6dad215478b657da867e9419e8abb689c",
+        "common": "4fd3d34ca6ab41e701186fe80ab3a8c664cc301126f2f8821c536e54d55cd17f",
     },
     "example2": {
-        "pipeline": "ea78643b5fb811c22c08e4ddebc1873dc9a681a087c6f336ff3ea43425124cf8",
-        "fit": "9509ccd5b3eb2efabe459a01b5747a6ee5b266777f53e1c6c8a43308b03a3c4a",
-        "homogeneity": "66fc596445a9a8856c64bedbd8a2e6a52ede6ac9dbba09d081a8c8afb6f2d484",
-        "common": "e580b6b660f4042db9466da8db34e6cc113c810de294f598f5a6ee2045901deb",
+        "pipeline": "ff014cb1ca1613830e89fd527f06f6473d0abfbd097b0e00c7f129fa269171e3",
+        "fit": "953054f723954bc9ed897b7917de400dacc67f8444f1dea1a44b591105aab3d7",
+        "homogeneity": "de92717ba5efc0b62d4527bf44d107d2823722b6d0d8fc8a2c57716b58c379d0",
+        "common": "4b3da1550378237e9a30d38c4052bcc623804434700b64980b6d0fb6c5828cf6",
     },
     "example3": {
-        "pipeline": "11d4030230d346337431ed5af1ff6043baeb8bd06225f321d0d44fa001b2d936",
-        "fit": "2f78fe5719c17c055bbdc08fbb778ed3316d4eca5d8e7762d552ffcb9a7aa503",
-        "homogeneity": "664d77f62eb144a5c8bd9bae697bca0547d050a54efd5401fb6a96c598c27778",
-        "common": "fbe38c5a921eae4de51a2be5d0899e16108559159ad9c877db7a4de9478874a1",
+        "pipeline": "301023d6ef5b31489c7aadee415d02cf4b1c17b61739c83bdd4f240bd3e2ec7a",
+        "fit": "02ea4592ef1e507f241558de068b4c3f437f33550e43bbf49749d1dd97962bdf",
+        "homogeneity": "f54f22e8a495b11dcfa75d157176c4628c2abc2323781c6849c49f9a30cd2de5",
+        "common": "03f112748c361285ff48cb4930220b2f1bfdec801350e965333f590c1e4eabc6",
     },
     "toothmarks": {
-        "pipeline": "a03caeec4be6959c97f0111a3fb95d05d16db19db7fa097baf3bf6c6d4264c4d",
-        "fit": "018d118b9e9fb28c2393a4be8263a5feb20f0c9a3cf5d6eed5b8f02eb2a60695",
-        "homogeneity": "0d4306f4570ad6e4700a1ccc33ca8072667f7ec91eac2ef5e469ff6e6ac05517",
-        "common": "7fab78c2eb39fd71e28b4f7d6e830216705f4ab1f7796fcc798cc6b3dc7c02df",
+        "pipeline": "a9941a2b8bac67f7f08f100b69bc3d655e9167d39138ec862e1aa608c30abdf3",
+        "fit": "67dc2130173ce1f1587cfcb9a50ca6bef3bff04b09aea2475c8c98fe80890859",
+        "homogeneity": "5547769fd8a0026fef8c687ba986be92b18f242f80c2bfc5d3c6bf3c2e29f901",
+        "common": "f0a7adf89bcddde690dbd68bbc0d83cd296d863b46b22862336033f64330fb90",
     },
 }
 
 # format -> SHA-256 of the report of tall_shaped_study
 TALL = {
-    "structured": "6ac878156adc35436345420a1965d491c639d05a9ce5e8f02d2a115eafdbaf58",
+    "structured": "7f27bdd358d6593790f918fa9aaae384e4e201eb9797027590ff115fe9d9494b",
     "text": "bb6c5dd38cb8302ec7216f98ec0dec1639e25de6974c9d61d2f3b16faf51fb84",
 }
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -55,6 +56,29 @@ class TestPopulationSample:
     def test_rejects_bad_known_scale(self):
         with pytest.raises(ValueError):
             PopulationSample("a", (1.0,), known_sigma=-2.0)
+
+    @pytest.mark.parametrize(
+        "pins, error, message",
+        [
+            ({"known_e": True}, TypeError, "known_e must be int or float, got bool True"),
+            ({"known_e": "4.5"}, TypeError, "known_e must be int or float, got str '4.5'"),
+            ({"known_sigma": 10**400}, ValueError, "known_sigma must be finite, got inf"),
+            ({"known_e": -math.inf}, ValueError, "known_e must be finite, got -inf"),
+            ({"known_sigma": math.nan}, ValueError, "known_sigma must be finite, got nan"),
+            ({"known_sigma": 0}, ValueError, "known scale must be > 0, got 0.0"),
+        ],
+    )
+    def test_rejects_pins_that_are_not_finite_numbers(self, pins, error, message):
+        with pytest.raises(error, match=re.escape(f"population 'a': {message}")):
+            PopulationSample("a", (1.0, 2.0), **pins)
+
+    def test_pins_become_floats(self):
+        class Measured(float):
+            pass
+
+        sample = PopulationSample("a", (1.0, 2.0), known_e=4, known_sigma=Measured(0.5))
+        assert (sample.known_e, sample.known_sigma) == (4.0, 0.5)
+        assert list(map(type, (sample.known_e, sample.known_sigma))) == [float, float]
 
     @pytest.mark.parametrize(
         "values, culprit",
