@@ -11,9 +11,10 @@ the component levels, all component tests run at the same level as the
 overall test.
 
 The pairwise stage shares its work across pairs (:class:`CrossTests`): each
-band is built once per reference distribution, and each population keeps one
-sorted view of its candidates, the values outside the intersection of the
-bands it meets, so a band is counted by bisecting the candidates alone.
+band is built once per reference distribution, and every ordered pair of a
+group is decided when the table is built, one row per population.  A row
+sorts the population's candidates, the values outside the intersection of
+the bands it meets, once, and counts each band by bisecting them alone.
 Homogeneous groups are enumerated on neighbour bitsets by a clique search
 with a fixed work budget (:data:`CLIQUE_BUDGET`), on a run and on a reload
 alike.
@@ -186,16 +187,21 @@ class CrossTests:
     is built once: in the both-unknown case i's data against j's fit uses
     j's own band, and ``n`` bands serve all ``n(n-1)`` cross-tests.
 
-    ``group`` holds ``(sample, fit)`` pairs.  Each member meets one band per
+    ``group`` holds ``(sample, fit)`` pairs, and every ordered pair of
+    members is decided when the object is built, one row per member: its
+    decisions against every other member's fit.  A member meets one band per
     other member, and a value inside their intersection ``[lo, hi]`` is
-    inside every one of them; so the member keeps those bands, keyed by the
-    fit they come from, and only its candidates, the values outside
-    ``[lo, hi]``, sorted with their 1-based positions.  Each of those bands
-    contains ``[lo, hi]``, so it is counted over the candidates by two
-    bisections.  Any other fit, and any sample that is not a member, is
-    counted by the linear scan of :func:`~uncstat.testing.count_outliers`,
-    the reference definition.  Decisions equal
-    ``test_against_interval(pop_i, cross_interval(...))``.
+    inside every one of them; so a row scans its member's values once for
+    the candidates, the values outside ``[lo, hi]``, sorted with their
+    1-based positions.  Each band contains ``[lo, hi]``, so it is counted by
+    two bisections over the candidates, and bands that cut the candidates at
+    the same place share one outlier tuple.
+
+    :meth:`decide` finds a member by the identity of its sample and another
+    member by the identity of its fit, and looks their decision up; any
+    other pair, a member's own fit included, is counted by the linear scan
+    of :func:`~uncstat.testing.count_outliers`, the reference definition.
+    Decisions equal ``test_against_interval(pop_i, cross_interval(...))``.
 
     A :class:`~uncstat.errors.NumericError` from a member's band is raised
     again with both populations' ids in front of its message.
@@ -206,31 +212,49 @@ class CrossTests:
         self.alpha = check_level(alpha)
         self._pins = CASE_PINS[case]
         self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
-        # Views, and each member's bands, are keyed by object identity; the
-        # table holds the members, so no other object can take one of those
-        # identities while it lives.
+        # Rows and columns are found by object identity; the table holds the
+        # members, so no other object can take one of those identities while
+        # it lives.  A repeated sample or fit finds its last member.
         self._members = tuple(group)
-        self._views: dict[int, tuple] = {}
-        for k, (sample, _) in enumerate(self._members):
-            bands = {}
-            lo, hi = -math.inf, math.inf
-            for j, (source, fit) in enumerate(self._members):
-                if j != k:
-                    try:
-                        band = bands[id(fit)] = self.band(sample, fit)
-                    except NumericError as exc:
-                        raise type(exc)(
-                            f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
-                        ) from None
-                    lo = band.lower if band.lower > lo else lo
-                    hi = band.upper if band.upper < hi else hi
-            # Indices of the candidates, sorted by value.
-            values = sample.values
-            outside = [i for i, z in enumerate(values) if z < lo or z > hi]
-            outside.sort(key=values.__getitem__)
-            candidates = tuple(map(values.__getitem__, outside))
-            positions = tuple([i + 1 for i in outside])
-            self._views[id(sample)] = (bands, candidates, positions)
+        self._row_of = {id(sample): k for k, (sample, _) in enumerate(self._members)}
+        self._column_of = {id(fit): j for j, (_, fit) in enumerate(self._members)}
+        self._rows = [self._decide_row(k) for k in range(len(self._members))]
+
+    def _decide_row(self, k: int) -> list[TestDecision | None]:
+        """Member ``k``'s decisions against each member's fit, None against its own."""
+        sample = self._members[k][0]
+        bands = []
+        lo, hi = -math.inf, math.inf
+        for j, (source, fit) in enumerate(self._members):
+            if j != k:
+                try:
+                    band = self.band(sample, fit)
+                except NumericError as exc:
+                    raise type(exc)(
+                        f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
+                    ) from None
+                bands.append(band)
+                lo = band.lower if band.lower > lo else lo
+                hi = band.upper if band.upper < hi else hi
+        # Indices of the candidates, sorted by value.
+        values = sample.values
+        outside = [i for i, z in enumerate(values) if z < lo or z > hi]
+        outside.sort(key=values.__getitem__)
+        candidates = [values[i] for i in outside]
+        positions = [i + 1 for i in outside]
+        m = len(values)
+        shared: dict[tuple[int, int], tuple[int, ...]] = {}
+        row: list[TestDecision | None] = []
+        for band in bands:
+            # An endpoint value is inside: bisect_left stops before it at the
+            # lower end, bisect_right passes it at the upper end.
+            cut = bisect_left(candidates, band.lower), bisect_right(candidates, band.upper)
+            outliers = shared.get(cut)
+            if outliers is None:
+                outliers = shared[cut] = tuple(sorted(positions[: cut[0]] + positions[cut[1] :]))
+            row.append(TestDecision(band, outliers, m))
+        row.insert(k, None)
+        return row
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
@@ -242,16 +266,19 @@ class CrossTests:
 
     def decide(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> TestDecision:
         """Test ``pop_i``'s data against the band built from ``fit_j``."""
-        view = self._views.get(id(pop_i))
-        band = None if view is None else view[0].get(id(fit_j))
-        if band is None:  # not a member, or not another member's fit
+        k = self._row_of.get(id(pop_i))
+        j = self._column_of.get(id(fit_j))
+        if k is None or j is None or j == k:  # not a member against another member's fit
             return test_against_interval(pop_i, self.band(pop_i, fit_j))
-        _, candidates, positions = view
-        # An endpoint value is inside: bisect_left stops before it at the
-        # lower end, bisect_right passes it at the upper end.
-        outliers = positions[: bisect_left(candidates, band.lower)]
-        outliers += positions[bisect_right(candidates, band.upper) :]
-        return TestDecision(band, tuple(sorted(outliers)), len(pop_i.values))
+        return self._rows[k][j]
+
+    def pairwise(self) -> tuple[PairwiseDecision, ...]:
+        """Every pair of members, both directions, in :func:`itertools.combinations` order."""
+        rows, ids = self._rows, [sample.id for sample, _ in self._members]
+        return tuple(
+            PairwiseDecision(ids[a], ids[b], rows[a][b], rows[b][a])
+            for a, b in combinations(range(len(ids)), 2)
+        )
 
 
 def pairwise_test(
@@ -263,8 +290,8 @@ def pairwise_test(
 ) -> PairwiseDecision:
     """Symmetric cross-test of a pair: i's data against j's fit and vice versa.
 
-    ``tests`` carries the case and level and shares bands and candidate views
-    across the pairs of one group.  The per-population self-tests are not
+    ``tests`` carries the case and level, and the decisions of a group's
+    members are looked up in its table.  The per-population self-tests are not
     repeated here; they are run once per population by
     :func:`~uncstat.testing.fit_and_verify`.
     """

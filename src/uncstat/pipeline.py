@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import chain, combinations, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -24,7 +24,6 @@ from .multi import (
     CrossTests,
     FittedGroup,
     HomogeneityResult,
-    PairwiseDecision,
     ParameterCase,
     check_case,
     describe_pins,
@@ -636,15 +635,11 @@ def _rederive_homogeneity(
 ) -> HomogeneityResult:
     """What :func:`homogeneity_test` returns for ``group``, for a reload.
 
-    The pairs are decided here rather than by ``pairwise_test``, and the
-    stage is not ``homogeneity_test``, because calls to those two trace the
-    work of a run.
+    The pairs come from :meth:`CrossTests.pairwise` rather than from
+    ``pairwise_test``, and the stage is not ``homogeneity_test``, because
+    calls to those two trace the work of a run.
     """
-    tests = CrossTests(case, alpha, group)
-    pairwise = tuple(
-        PairwiseDecision(a.id, b.id, tests.decide(a, fit_b), tests.decide(b, fit_a))
-        for (a, fit_a), (b, fit_b) in combinations(group, 2)
-    )
+    pairwise = CrossTests(case, alpha, group).pairwise()
     groups = homogeneous_groups([s.id for s, _ in group], pairwise)
     return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
 

@@ -55,7 +55,10 @@ class PopulationSample:
                         f"population {self.id!r}: values must be int or float, "
                         f"got {type(v).__name__} {v!r}"
                     )
-            values = tuple(map(float, values))
+            try:
+                values = tuple(map(float, values))
+            except OverflowError:  # an int beyond the largest double, as for a pin
+                raise ValueError(f"population {self.id!r} contains non-finite values") from None
         object.__setattr__(self, "values", values)
         if not self.values:
             raise ValueError(f"population {self.id!r} has no observations")

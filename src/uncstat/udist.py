@@ -136,7 +136,8 @@ def fit_moments(
             raise ValueError(f"known scale must be > 0, got {known_sigma!r}")
     else:
         sigma = math.sqrt(_mean(((v - e) ** 2 for v in values), m))
-        if sigma == 0.0:
+        # The mean of equal values can round away from them, leaving a spread of ulps.
+        if sigma == 0.0 or (known_e is None and all(v == values[0] for v in values)):
             raise DegenerateSampleError(
                 "sample has zero spread about its location; supply a scale "
                 "or provide data with at least two distinct values"

@@ -319,6 +319,7 @@ def _run_cli(argv, hash_seed):
         [sys.executable, "-m", "uncstat.cli", *argv],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=env,
     )
     assert proc.returncode == 0, proc.stderr

@@ -403,6 +403,71 @@ class TestCrossTests:
             assert scans.calls == 1
             assert decision == uncstat.testing.test_against_interval(sample, band)
 
+    @staticmethod
+    def assert_table_matches_the_definition(group, case, alpha):
+        """``pairwise()`` and ``decide`` on every (member sample, member fit)
+        pair equal the scan of the definition; returns the table."""
+
+        def definition(sample, fit):
+            band = cross_interval(case, sample, fit, alpha)
+            return uncstat.testing.test_against_interval(sample, band)
+
+        tests = CrossTests(case, alpha, group)
+        assert tests.pairwise() == tuple(
+            PairwiseDecision(a.id, b.id, definition(a, fit_b), definition(b, fit_a))
+            for (a, fit_a), (b, fit_b) in combinations(group, 2)
+        )
+        for sample, _ in group:
+            for _, fit in group:
+                assert tests.decide(sample, fit) == definition(sample, fit)
+        return tests
+
+    # The table finds members by the identity of their sample and of their
+    # fit; these groups make one identity name two members, or none.
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_members_that_share_one_fit_object(self, case, data):
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        n = data.draw(st.integers(2, 6))
+        locations = [data.draw(st.integers(-3, 3)) / 10 for _ in range(n)]
+        group = self.draw_group(data, case, alpha, locations)
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        group[b] = (group[b][0], group[a][1])
+        tests = self.assert_table_matches_the_definition(group, case, alpha)
+        assert tests.pairwise() == homogeneity_test(group, case, alpha).pairwise
+
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_one_sample_object_twice_in_a_group(self, case, data):
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        n = data.draw(st.integers(2, 6))
+        locations = [data.draw(st.integers(-3, 3)) / 10 for _ in range(n)]
+        group = self.draw_group(data, case, alpha, locations)
+        a = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(0, n))
+        e, sigma = data.draw(st.integers(-3, 3)) / 10, data.draw(st.integers(1, 20)) / 10
+        group.insert(b, (group[a][0], NormalUncertain(e, sigma)))
+        tests = self.assert_table_matches_the_definition(group, case, alpha)
+        # The pairs homogeneity_test decides; the repeated id then fails its grouping.
+        assert tests.pairwise() == tuple(
+            pairwise_test(tests, x, y, fit_x, fit_y)
+            for (x, fit_x), (y, fit_y) in combinations(group, 2)
+        )
+        with pytest.raises(ValueError, match="ids must be unique"):
+            homogeneity_test(group, case, alpha)
+
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_a_group_of_one(self, case, data):
+        sample = PopulationSample("p0", data.draw(grid_values(1, 30)), **self.PINNED[case](0))
+        group = [(sample, NormalUncertain(0.0, data.draw(st.integers(1, 20)) / 10))]
+        assert self.assert_table_matches_the_definition(group, case, 0.05).pairwise() == ()
+        with pytest.raises(ValueError, match="at least two"):
+            homogeneity_test(group, case, 0.05)
+
     def test_both_unknown_builds_one_band_per_population(self, toothmarks):
         samples, _ = toothmarks
         builds = Counting(uncstat.multi.acceptance_interval)

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import operator
+import random
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -619,6 +620,25 @@ class TestReportSerialisation:
         for mode in ("fit", "homogeneity", "common"):
             report = u.run_pipeline(samples, config, mode=mode)
             assert u.parse_report(u.emit_report(report, "structured")) == report
+
+    def test_round_trip_of_overlapping_clusters(self):
+        # 24 populations of 40 points, both parameters unknown, in 8 planted
+        # clusters 0.1 apart: many bands cut a member's candidates at the
+        # same place, so its row shares outlier tuples.
+        rng = random.Random(7)
+        samples = []
+        for k in range(24):
+            e, sigma = 10.0 + 0.1 * (k % 8) + rng.gauss(0.0, 0.03), 1.0 + rng.gauss(0.0, 0.05)
+            samples.append(PopulationSample(f"p{k:02d}", [rng.gauss(e, sigma) for _ in range(40)]))
+        config = RunConfig(alpha=0.05, group_selection=tuple(s.id for s in samples[::8]))
+        report = u.run_pipeline(samples, config)
+        parsed = u.parse_report(u.emit_report(report, "structured"))
+        assert parsed == report
+        pairwise = parsed.homogeneity.pairwise
+        assert 0 < sum(p.homogeneous for p in pairwise) < len(pairwise)
+        decisions = [d for p in pairwise for d in (p.decision_i_vs_j, p.decision_j_vs_i)]
+        shared = Counter(id(d.outlier_indices) for d in decisions if d.outlier_indices)
+        assert max(shared.values()) > 1
 
     def test_schema_version_is_checked(self, toothmarks_report):
         obj = json.loads(u.emit_report(toothmarks_report, "structured"))

@@ -40,10 +40,17 @@ class TestPopulationSample:
 
     @pytest.mark.parametrize(
         "values",
-        [(1.0, math.nan), (math.inf, 1.0), (math.inf, -math.inf), (1e308, 1e308, -math.inf)],
+        [
+            (1.0, math.nan),
+            (math.inf, 1.0),
+            (math.inf, -math.inf),
+            (1e308, 1e308, -math.inf),
+            (10**400, 1.0),  # an int beyond the largest double, as for a pin
+            (1, -(10**400)),
+        ],
     )
     def test_rejects_non_finite_values(self, values):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=re.escape("population 'a' contains non-finite")):
             PopulationSample("a", values)
 
     def test_finite_values_whose_sum_overflows_are_kept(self):

@@ -137,6 +137,12 @@ class TestFitMoments:
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSampleError):
             fit_moments([5.0, 5.0, 5.0])
+        # The mean of three copies of this value rounds off it.
+        with pytest.raises(DegenerateSampleError):
+            fit_moments([58.253465754211035] * 3)
+
+    def test_equal_values_off_a_pinned_location_fit(self):
+        assert fit_moments([5.0, 5.0, 5.0], known_e=4.0).sigma == 1.0
 
     @pytest.mark.parametrize(
         "values",
