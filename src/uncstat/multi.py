@@ -123,6 +123,15 @@ class PairwiseDecision(
         homogeneous = not (decision_i_vs_j.rejected or decision_j_vs_i.rejected)
         return tuple.__new__(cls, (i, j, decision_i_vs_j, decision_j_vs_i, homogeneous))
 
+    @classmethod
+    def batch(
+        cls, pairs: Iterable[tuple[str, str, TestDecision, TestDecision]]
+    ) -> list[PairwiseDecision]:
+        """``[cls(*p) for p in pairs]``: the rule of ``__new__`` with no Python
+        call per record."""
+        new = tuple.__new__
+        return [new(cls, (i, j, a, b, not (a.rejected or b.rejected))) for i, j, a, b in pairs]
+
     def __getnewargs__(self) -> tuple:
         return self[:4]
 
@@ -153,16 +162,23 @@ def ufwer(alphas: Sequence[float]) -> float:
     return max(check_level(a) for a in alphas)
 
 
+def _pinned(pins: tuple[bool, bool], pop: PopulationSample) -> tuple[float | None, float | None]:
+    """The location and scale of ``pop`` that ``pins`` (a :data:`CASE_PINS`
+    pattern) marks, None for a parameter taken from the other population's fit."""
+    e = pop.known_e if pins[0] else None
+    sigma = pop.known_sigma if pins[1] else None
+    if pins[0] and e is None or pins[1] and sigma is None:
+        raise ConfigurationError(f"population {pop.id!r} lacks a parameter its case pins")
+    return e, sigma
+
+
 def _reference(
     pins: tuple[bool, bool], pop_i: PopulationSample, fit_j: NormalUncertain
 ) -> tuple[float, float]:
     """Reference ``pop_i``'s data is tested against: the parameters ``pins``
-    marks (a :data:`CASE_PINS` pattern) from ``pop_i``, the others from ``fit_j``."""
-    e = pop_i.known_e if pins[0] else fit_j.e
-    sigma = pop_i.known_sigma if pins[1] else fit_j.sigma
-    if e is None or sigma is None:
-        raise ConfigurationError(f"population {pop_i.id!r} lacks a parameter its case pins")
-    return e, sigma
+    marks from ``pop_i``, the others from ``fit_j``."""
+    e, sigma = _pinned(pins, pop_i)
+    return fit_j.e if e is None else e, fit_j.sigma if sigma is None else sigma
 
 
 def cross_interval(
@@ -222,29 +238,33 @@ class CrossTests:
 
     def _decide_row(self, k: int) -> list[TestDecision | None]:
         """Member ``k``'s decisions against each member's fit, None against its own."""
-        sample = self._members[k][0]
-        bands = []
+        members = self._members
+        sample = members[k][0]
+        # The row's pins are bound once; each key is _reference(sample, fit).
+        e, sigma = _pinned(self._pins, sample)
+        table, bands = self._bands, []
         lo, hi = -math.inf, math.inf
-        for j, (source, fit) in enumerate(self._members):
-            if j != k:
+        for source, fit in members[:k] + members[k + 1 :]:
+            key = fit.e if e is None else e, fit.sigma if sigma is None else sigma
+            band = table.get(key)
+            if band is None:
                 try:
-                    band = self.band(sample, fit)
+                    band = self._band_at(key)
                 except NumericError as exc:
                     raise type(exc)(
                         f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
                     ) from None
-                bands.append(band)
-                lo = band.lower if band.lower > lo else lo
-                hi = band.upper if band.upper < hi else hi
+            bands.append(band)
+            lo = band.lower if band.lower > lo else lo
+            hi = band.upper if band.upper < hi else hi
         # Indices of the candidates, sorted by value.
         values = sample.values
         outside = [i for i, z in enumerate(values) if z < lo or z > hi]
         outside.sort(key=values.__getitem__)
         candidates = [values[i] for i in outside]
         positions = [i + 1 for i in outside]
-        m = len(values)
         shared: dict[tuple[int, int], tuple[int, ...]] = {}
-        row: list[TestDecision | None] = []
+        outlier_sets = []
         for band in bands:
             # An endpoint value is inside: bisect_left stops before it at the
             # lower end, bisect_right passes it at the upper end.
@@ -252,13 +272,17 @@ class CrossTests:
             outliers = shared.get(cut)
             if outliers is None:
                 outliers = shared[cut] = tuple(sorted(positions[: cut[0]] + positions[cut[1] :]))
-            row.append(TestDecision(band, outliers, m))
+            outlier_sets.append(outliers)
+        row: list[TestDecision | None] = TestDecision.batch(bands, outlier_sets, len(values))
         row.insert(k, None)
         return row
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
-        key = _reference(self._pins, pop_i, fit_j)
+        return self._band_at(_reference(self._pins, pop_i, fit_j))
+
+    def _band_at(self, key: tuple[float, float]) -> AcceptanceInterval:
+        """The band of the reference ``(e, sigma)``, built on first use."""
         band = self._bands.get(key)
         if band is None:
             band = self._bands[key] = acceptance_interval(NormalUncertain(*key), self.alpha)
@@ -276,8 +300,10 @@ class CrossTests:
         """Every pair of members, both directions, in :func:`itertools.combinations` order."""
         rows, ids = self._rows, [sample.id for sample, _ in self._members]
         return tuple(
-            PairwiseDecision(ids[a], ids[b], rows[a][b], rows[b][a])
-            for a, b in combinations(range(len(ids)), 2)
+            PairwiseDecision.batch(
+                (ids[a], ids[b], rows[a][b], rows[b][a])
+                for a, b in combinations(range(len(ids)), 2)
+            )
         )
 
 

@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -673,6 +674,10 @@ def _group_label(ids: Sequence[str]) -> str:
 
 
 def _render_text(report: RunReport) -> str:
+    # With equal pins, or none, the n x n interval matrix and the self-tests
+    # hold one band per source, so each is formatted once; the bound keeps
+    # the cache small when every cell's band differs.
+    interval_text = lru_cache(maxsize=len(report.populations) + 1)(_fmt_interval)
     lines: list[str] = []
     title = "multi-population uncertainty test report"
     lines += [title, "=" * len(title), ""]
@@ -692,7 +697,7 @@ def _render_text(report: RunReport) -> str:
                 str(p.sample.size),
                 _fmt3(p.fit.e),
                 _fmt3(p.fit.sigma),
-                _fmt_interval(p.self_test.interval.lower, p.self_test.interval.upper),
+                interval_text(p.self_test.interval.lower, p.self_test.interval.upper),
                 str(p.self_test.outlier_count),
                 p.self_test.verdict,
             ]
@@ -711,7 +716,7 @@ def _render_text(report: RunReport) -> str:
         lines += ["acceptance intervals (data rows vs parameter sources)", "-" * 53]
         rows = [["data\\source"] + ordered]
         for i in ordered:
-            rows.append([i] + [_fmt_interval(intervals[(i, j)].lower, intervals[(i, j)].upper) for j in ordered])
+            rows.append([i] + [interval_text(intervals[(i, j)].lower, intervals[(i, j)].upper) for j in ordered])
         lines += _table(rows)
         lines.append("")
 
@@ -744,7 +749,7 @@ def _render_text(report: RunReport) -> str:
         lines.append(f"tested parameter: {c.case.value}")
         lines.append(f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}")
         lines.append(
-            f"acceptance interval: {_fmt_interval(c.decision.interval.lower, c.decision.interval.upper)}"
+            f"acceptance interval: {interval_text(c.decision.interval.lower, c.decision.interval.upper)}"
         )
         outliers = ", ".join(str(i) for i in c.decision.outlier_indices) or "none"
         lines.append(

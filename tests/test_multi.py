@@ -422,6 +422,31 @@ class TestCrossTests:
                 assert tests.decide(sample, fit) == definition(sample, fit)
         return tests
 
+    # The table makes its records in batches, pairwise_test its pairs with the
+    # constructor; in the means-unknown case every member pins its own scale,
+    # so band keys mix the row's pin with the column's fit.
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_batched_records_equal_the_constructed_ones(self, case, data):
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        n = data.draw(st.integers(2, 6))
+        locations = [data.draw(st.integers(-3, 3)) / 10 for _ in range(n)]
+        group = self.draw_group(data, case, alpha, locations)
+        tests = CrossTests(case, alpha, group)
+        for pairs in (tests.pairwise(), homogeneity_test(group, case, alpha).pairwise):
+            for pair in pairs:
+                decisions = [
+                    TestDecision(d.interval, d.outlier_indices, d.sample_size) for d in pair[2:4]
+                ]
+                assert decisions == list(pair[2:4])
+                expected = PairwiseDecision(pair.i, pair.j, *decisions)
+                for record in (pair, copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+                    assert record == expected
+                    assert type(record) is PairwiseDecision
+                    assert [type(d) for d in record[2:4]] == [TestDecision, TestDecision]
+                    assert record.homogeneous == expected.homogeneous
+
     # The table finds members by the identity of their sample and of their
     # fit; these groups make one identity name two members, or none.
     @pytest.mark.parametrize("case", list(ParameterCase))

@@ -939,6 +939,41 @@ class TestTextReport:
         assert len(matrix_header) == 1
         assert matrix_header[0].split()[1:] == ["1", "2", "3"]
 
+    # Both-unknown bands depend on the source alone, so the n x n matrix and
+    # the n self-tests hold n distinct intervals, each formatted once.  With a
+    # scale pinned per population every cell's band differs, and the bounded
+    # cache may format a self-test's band again on the diagonal.
+    @pytest.mark.parametrize("scales", [False, True])
+    def test_each_distinct_interval_is_formatted_once(self, scales, monkeypatch):
+        rng = random.Random(7)
+        n = 32
+        samples = [
+            PopulationSample(
+                f"p{k}",
+                tuple(rng.uniform(-1.0, 1.0) + k / 20 for _ in range(4)),
+                known_sigma=1.0 + k / 8 if scales else None,
+            )
+            for k in range(n)
+        ]
+        report = u.run_pipeline(samples, RunConfig(), mode="homogeneity")
+        calls = Counter()
+        fmt_interval = pipeline._fmt_interval
+
+        def counting(lower, upper):
+            calls[lower, upper] += 1
+            return fmt_interval(lower, upper)
+
+        monkeypatch.setattr(pipeline, "_fmt_interval", counting)
+        text = u.emit_report(report, "text")
+        assert len(calls) == (n * n if scales else n)
+        if not scales:
+            assert set(calls.values()) == {1}
+        # The same render with every cell formatted: n self-tests, n * n cells.
+        calls.clear()
+        monkeypatch.setattr(pipeline, "lru_cache", lambda maxsize: lambda fn: fn)
+        assert u.emit_report(report, "text") == text
+        assert sum(calls.values()) == n + n * n
+
     def test_rounding_is_half_away_from_zero(self):
         assert _fmt3(2.8835) == "2.884"
         assert _fmt3(-2.8835) == "-2.884"
