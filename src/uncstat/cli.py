@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -49,6 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses: built on the first call, once per process.
+
+    Parsing leaves no state on the parser, so calls can share it;
+    :func:`build_parser` still returns a new one for callers that extend it.
+    """
+    return build_parser()
+
+
 def _parse_theta0(text: str) -> NormalUncertain:
     parts = text.split(",")
     if len(parts) != 2:
@@ -60,7 +71,7 @@ def _parse_theta0(text: str) -> NormalUncertain:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         samples, config = ingest(args.data, args.config)
         if args.alpha is not None:
@@ -81,7 +92,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.report:
             Path(args.report).write_text(document, encoding="utf-8")
         else:
-            sys.stdout.write(document)
+            try:
+                sys.stdout.write(document)  # encodes the whole document before writing
+            except UnicodeEncodeError as exc:
+                raise ConfigurationError(
+                    f"standard output's encoding ({exc.encoding}) cannot encode the report; "
+                    "write it to a UTF-8 file with --report"
+                ) from None
         if args.plot_data:
             emit_plot_data(report, args.plot_data)
     except (DataFormatError, ConfigurationError, OSError) as exc:

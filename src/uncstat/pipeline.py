@@ -665,8 +665,8 @@ def _fmt_interval(lower: float, upper: float) -> str:
 
 
 def _table(rows: list[list[str]]) -> list[str]:
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(map(str.ljust, r, widths)).rstrip() for r in rows]
 
 
 def _group_label(ids: Sequence[str]) -> str:
@@ -707,16 +707,22 @@ def _render_text(report: RunReport) -> str:
 
     if report.homogeneity is not None:
         hom = report.homogeneity
-        intervals = {(p.sample.id, p.sample.id): p.self_test.interval for p in report.populations}
-        for pw in hom.pairwise:
-            intervals[(pw.i, pw.j)] = pw.decision_i_vs_j.interval
-            intervals[(pw.j, pw.i)] = pw.decision_j_vs_i.interval
         ordered = [p.sample.id for p in report.populations]
+        position = {pid: k for k, pid in enumerate(ordered)}
+        # Row k holds population k's data against every source, its own
+        # self-test band on the diagonal.
+        matrix = [[""] * len(ordered) for _ in ordered]
+        for k, p in enumerate(report.populations):
+            matrix[k][k] = interval_text(p.self_test.interval.lower, p.self_test.interval.upper)
+        for pw in hom.pairwise:
+            a, b = position[pw.i], position[pw.j]
+            ij, ji = pw.decision_i_vs_j.interval, pw.decision_j_vs_i.interval
+            matrix[a][b] = interval_text(ij.lower, ij.upper)
+            matrix[b][a] = interval_text(ji.lower, ji.upper)
 
         lines += ["acceptance intervals (data rows vs parameter sources)", "-" * 53]
         rows = [["data\\source"] + ordered]
-        for i in ordered:
-            rows.append([i] + [interval_text(intervals[(i, j)].lower, intervals[(i, j)].upper) for j in ordered])
+        rows += [[pid] + cells for pid, cells in zip(ordered, matrix)]
         lines += _table(rows)
         lines.append("")
 
@@ -817,12 +823,13 @@ def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
     bands = CrossTests(report.case, report.alpha)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("population,index,value,interval_source,lower,upper,is_outlier\n")
-        for data in report.populations:
-            pid, values = _csv_field(data.sample.id), data.sample.values
-            for source in report.populations:
+        fields = [_csv_field(p.sample.id) for p in report.populations]
+        for data, pid in zip(report.populations, fields):
+            values = data.sample.values
+            for source, source_id in zip(report.populations, fields):
                 band = bands.band(data.sample, source.fit)
                 lower, upper = band.lower, band.upper
-                tail = f"{_csv_field(source.sample.id)},{lower!r},{upper!r},"
+                tail = f"{source_id},{lower!r},{upper!r},"
                 fh.writelines(
                     f"{pid},{idx},{v!r},{tail}{'true' if v < lower or v > upper else 'false'}\n"
                     for idx, v in enumerate(values, start=1)

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncstat as u
-from uncstat.cli import main
+from uncstat.cli import build_parser, main
 from uncstat.pipeline import MODES
 from test_pipeline import data_files, mutate
 
@@ -235,6 +238,20 @@ class TestTextReport:
         assert "2166666666666666700000000000000.000" in captured.out
         assert captured.err == ""
 
+    def test_report_stdout_cannot_encode_is_two(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "e.csv"
+        data.write_text("population,value\n\u00e9,1\n\u00e9,2\n\u00e9,3.5\n", encoding="utf-8")
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+        assert run(["--data", data, "--mode", "fit"]) == 2
+        sys.stdout.flush()
+        assert raw.getvalue() == b""  # no part of the report reached stdout
+        err = capsys.readouterr().err
+        assert "encoding (ascii)" in err and "--report" in err and "Traceback" not in err
+        report = tmp_path / "r.txt"
+        assert run(["--data", data, "--mode", "fit", "--report", report]) == 0
+        assert "\u00e9" in report.read_text(encoding="utf-8")
+
 
 class TestFlags:
     def test_report_file_and_structured_format(self, field_paths, tmp_path):
@@ -296,6 +313,81 @@ class TestFlags:
     def test_unwritable_report_path_is_two(self, field_paths, tmp_path, capsys):
         data, config = field_paths
         assert run(["--data", data, "--config", config, "--report", tmp_path / "no" / "dir.txt"]) == 2
+
+
+@pytest.fixture
+def fresh_parser():
+    """A process whose ``main`` has not built its parser yet."""
+    u.cli._parser.cache_clear()
+    yield
+    u.cli._parser.cache_clear()
+
+
+class TestParser:
+    def test_main_builds_one_parser_per_process(self, field_paths, monkeypatch, fresh_parser,
+                                                capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        data, config = field_paths
+        for mode in MODES:
+            assert run(["--data", data, "--config", config, "--mode", mode]) == 0
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+        assert len(built) == 3
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(a) or init(*a, **k)\n"
+            "import uncstat.cli\n"
+            "print(len(built))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+        assert out.stdout.decode("ascii").strip() == "0"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "0.1"], ["--group", "3,4,5,6"], ["--group", "3,4,5,6", "--theta0", "2.516,0.083"]],
+        ids=["alpha", "group", "theta0"],
+    )
+    def test_calls_share_no_parsed_state(self, field_paths, tmp_path, fresh_parser, flags):
+        data, config = field_paths
+
+        def outputs(extra, name):
+            report, plot = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            argv = ["--data", data, "--config", config, "--format", "structured",
+                    "--report", report, "--plot-data", plot]
+            assert run(argv + extra) == 0
+            return report.read_bytes(), plot.read_bytes()
+
+        flagged_first, plain_after = outputs(flags, "a"), outputs([], "b")
+        u.cli._parser.cache_clear()
+        plain_first, flagged_after = outputs([], "c"), outputs(flags, "d")
+        assert flagged_first == flagged_after and plain_first == plain_after
+        assert flagged_first != plain_first
+
+    def test_help_is_the_parsers_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+
+    def test_unknown_flag_is_two_before_and_after_a_run(self, field_paths, fresh_parser, capsys):
+        data, config = field_paths
+        usage = build_parser().format_usage()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_:
+                run(["--data", data, "--bogus"])
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(usage) and "unrecognized arguments: --bogus" in err
+            assert run(["--data", data, "--config", config]) == 0
 
 
 def cli(argv):

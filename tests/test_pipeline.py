@@ -1058,3 +1058,12 @@ class TestPlotData:
                     writer.writerow([data.sample.id, idx, repr(v), source.sample.id,
                                      repr(band.lower), repr(band.upper), str(outside).lower()])
         assert (tmp_path / "plot.csv").read_bytes() == reference.getvalue().encode("utf-8")
+
+    def test_each_id_is_quoted_once(self, tmp_path, monkeypatch):
+        ids = ["x,y", 'q"t', "1"]
+        samples = [PopulationSample(pid, (k, k + 1.5, k + 2.25)) for k, pid in enumerate(ids)]
+        report = u.run_pipeline(samples, RunConfig(), mode="fit")
+        quoted, quote = [], pipeline._csv_field
+        monkeypatch.setattr(pipeline, "_csv_field", lambda text: quoted.append(text) or quote(text))
+        u.emit_plot_data(report, tmp_path / "plot.csv")
+        assert quoted == ids
