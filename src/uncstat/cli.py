@@ -8,14 +8,18 @@ zero-spread sample or moments that overflow double precision.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from functools import cache
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .errors import ConfigurationError, DataFormatError, NumericError
-from .pipeline import MODES, emit_plot_data, emit_report, ingest, run_pipeline
+from .pipeline import MODES, RunReport, _report_pieces, emit_plot_data, ingest, run_pipeline
+
+# Unused since main writes the report in pieces, but bench/spans.py still
+# wraps ``uncstat.cli.emit_report`` by name, so the name stays importable here.
+from .pipeline import emit_report  # noqa: F401
 from .udist import NormalUncertain
 
 __all__ = ["build_parser", "main"]
@@ -70,9 +74,65 @@ def _parse_theta0(text: str) -> NormalUncertain:
         raise ConfigurationError(f"--theta0: {exc}") from None
 
 
+def _file_key(path: str) -> tuple | None:
+    """What identifies the file ``path`` names: its device and inode, or, for
+    a file not made yet, its directory's and its name; None if neither exists.
+
+    Two stat calls at most, where resolving a path costs one per component.
+    """
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except OSError:
+        head, name = os.path.split(path)
+    try:
+        st = os.stat(head or ".")
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino, name
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse an output file that is an input or the other output."""
+    named: dict[tuple, str] = {}
+    for flag, path in (
+        ("--data", args.data),
+        ("--config", args.config),
+        ("--report", args.report),
+        ("--plot-data", args.plot_data),
+    ):
+        key = _file_key(path) if path else None
+        if key is None:
+            continue
+        if key in named and flag in ("--report", "--plot-data"):
+            raise ConfigurationError(f"{flag} and {named[key]} name the same file: {path}")
+        named.setdefault(key, flag)
+
+
+def _check_encodable(report: RunReport, stream: TextIO) -> None:
+    """Raise before the first write if ``stream`` cannot encode the text report.
+
+    The report is written as it is made, so a failure midway would leave part
+    of it behind.  Only ids, and the warnings that quote them, can hold text
+    beyond ASCII.
+    """
+    encoding = getattr(stream, "encoding", None)
+    if encoding is None:  # an in-memory stream holds any text
+        return
+    text = "\n".join([*(p.sample.id for p in report.populations), *report.warnings])
+    try:
+        text.encode(encoding, getattr(stream, "errors", None) or "strict")
+    except UnicodeEncodeError as exc:
+        raise ConfigurationError(
+            f"standard output's encoding ({exc.encoding}) cannot encode the report; "
+            "write it to a UTF-8 file with --report"
+        ) from None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_paths(args)
         samples, config = ingest(args.data, args.config)
         if args.alpha is not None:
             try:
@@ -88,17 +148,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             config = replace(config, theta0_override=_parse_theta0(args.theta0))
 
         report = run_pipeline(samples, config, mode=args.mode)
-        document = emit_report(report, args.format)
+        pieces = _report_pieces(report, args.format)
         if args.report:
-            Path(args.report).write_text(document, encoding="utf-8")
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
         else:
-            try:
-                sys.stdout.write(document)  # encodes the whole document before writing
-            except UnicodeEncodeError as exc:
-                raise ConfigurationError(
-                    f"standard output's encoding ({exc.encoding}) cannot encode the report; "
-                    "write it to a UTF-8 file with --report"
-                ) from None
+            if args.format == "text":  # the structured report escapes all but ASCII
+                _check_encodable(report, sys.stdout)
+            sys.stdout.writelines(pieces)
         if args.plot_data:
             emit_plot_data(report, args.plot_data)
     except (DataFormatError, ConfigurationError, OSError) as exc:

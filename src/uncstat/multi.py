@@ -425,7 +425,8 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
     more than :data:`CLIQUE_BUDGET` nodes.
     """
     cliques: list[int] = []
-    stack = [(0, (1 << len(neighbours)) - 1, 0)]
+    # The empty graph's one maximal clique is empty, which is no group.
+    stack = [(0, (1 << len(neighbours)) - 1, 0)] if neighbours else []
     expansions = 0
     while stack:
         expansions += 1

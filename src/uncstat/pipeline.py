@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .multi import (
@@ -571,14 +571,20 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
     the pins) and data that :func:`report_from_dict` runs the pipeline's
     stages on again.
     """
+    populations = list(map(_population_entry, report.populations))
+    return {**_report_head(report), "populations": populations}
+
+
+def _report_head(report: RunReport) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": report.mode,
         "config": config_to_dict(report.config),
-        "populations": [
-            {"id": p.sample.id, "values": list(p.sample.values)} for p in report.populations
-        ],
     }
+
+
+def _population_entry(population: PopulationReport) -> dict[str, Any]:
+    return {"id": population.sample.id, "values": list(population.sample.values)}
 
 
 def report_from_dict(obj: Any) -> RunReport:
@@ -664,53 +670,65 @@ def _fmt_interval(lower: float, upper: float) -> str:
     return f"[{_fmt3(lower)}, {_fmt3(upper)}]"
 
 
-def _table(rows: list[list[str]]) -> list[str]:
+def _line(cells: Sequence[str], widths: Sequence[int]) -> str:
+    return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
+
+
+def _table(rows: list[list[str]]) -> Iterator[str]:
     widths = [max(map(len, column)) for column in zip(*rows)]
-    return ["  ".join(map(str.ljust, r, widths)).rstrip() for r in rows]
+    return (_line(r, widths) for r in rows)
+
+
+def _heading(title: str, rule: str = "-") -> str:
+    return f"{title}\n{rule * len(title)}\n"
 
 
 def _group_label(ids: Sequence[str]) -> str:
     return "{%s}" % ",".join(ids)
 
 
-def _render_text(report: RunReport) -> str:
+def _ratio(decision: TestDecision) -> str:
+    return f"{decision.outlier_count}/{decision.threshold}"
+
+
+def _text_pieces(report: RunReport) -> Iterator[str]:
+    """The text report, a line or a few at a time.  Of its tables only the
+    fits, one row per population, are held whole, and the interval matrix
+    as a pointer per cell."""
     # With equal pins, or none, the n x n interval matrix and the self-tests
     # hold one band per source, so each is formatted once; the bound keeps
     # the cache small when every cell's band differs.
     interval_text = lru_cache(maxsize=len(report.populations) + 1)(_fmt_interval)
-    lines: list[str] = []
-    title = "multi-population uncertainty test report"
-    lines += [title, "=" * len(title), ""]
-    lines += [
-        f"mode: {report.mode}",
-        f"significance level: {report.alpha:g}",
-        f"parameter case: {report.case.value}",
-        "",
-    ]
+    yield _heading("multi-population uncertainty test report", "=")
+    yield (
+        f"\nmode: {report.mode}\nsignificance level: {report.alpha:g}\n"
+        f"parameter case: {report.case.value}\n\n"
+    )
 
-    lines += ["population fits and self-tests", "-" * 30]
-    rows = [["id", "m", "e", "sigma", "acceptance interval", "outliers", "self-test"]]
-    for p in report.populations:
-        rows.append(
-            [
-                p.sample.id,
-                str(p.sample.size),
-                _fmt3(p.fit.e),
-                _fmt3(p.fit.sigma),
-                interval_text(p.self_test.interval.lower, p.self_test.interval.upper),
-                str(p.self_test.outlier_count),
-                p.self_test.verdict,
-            ]
-        )
-    lines += _table(rows)
-    lines.append("")
+    yield _heading("population fits and self-tests")
+    fits = (
+        [
+            p.sample.id,
+            str(p.sample.size),
+            _fmt3(p.fit.e),
+            _fmt3(p.fit.sigma),
+            interval_text(p.self_test.interval.lower, p.self_test.interval.upper),
+            str(p.self_test.outlier_count),
+            p.self_test.verdict,
+        ]
+        for p in report.populations
+    )
+    header = ["id", "m", "e", "sigma", "acceptance interval", "outliers", "self-test"]
+    yield from _table([header, *fits])
+    yield "\n"
 
     if report.homogeneity is not None:
         hom = report.homogeneity
         ordered = [p.sample.id for p in report.populations]
         position = {pid: k for k, pid in enumerate(ordered)}
         # Row k holds population k's data against every source, its own
-        # self-test band on the diagonal.
+        # self-test band on the diagonal.  Cells formatted alike share one
+        # string, so the matrix costs a pointer per cell.
         matrix = [[""] * len(ordered) for _ in ordered]
         for k, p in enumerate(report.populations):
             matrix[k][k] = interval_text(p.self_test.interval.lower, p.self_test.interval.upper)
@@ -720,69 +738,102 @@ def _render_text(report: RunReport) -> str:
             matrix[a][b] = interval_text(ij.lower, ij.upper)
             matrix[b][a] = interval_text(ji.lower, ji.upper)
 
-        lines += ["acceptance intervals (data rows vs parameter sources)", "-" * 53]
-        rows = [["data\\source"] + ordered]
-        rows += [[pid] + cells for pid, cells in zip(ordered, matrix)]
-        lines += _table(rows)
-        lines.append("")
+        yield _heading("acceptance intervals (data rows vs parameter sources)")
+        header = ["data\\source", *ordered]
+        widths = [max(map(len, header))]
+        widths += [max(map(len, chain([pid], cells))) for pid, cells in zip(ordered, zip(*matrix))]
+        yield _line(header, widths)
+        for pid, cells in zip(ordered, matrix):
+            yield _line([pid, *cells], widths)
+        yield "\n"
 
-        lines += ["pairwise equality tests", "-" * 23]
-        rows = [["pair", "outliers i|j", "outliers j|i", "equality"]]
-        for pw in hom.pairwise:
-            rows.append(
+        # One row per pair: the widths come from the lengths of the ids and
+        # of the counts, so no row is kept.  The last column needs no width,
+        # as _line strips its padding.
+        yield _heading("pairwise equality tests")
+        header = ["pair", "outliers i|j", "outliers j|i", "equality"]
+        pairs = hom.pairwise
+        widths = [
+            max((len(pw.i) + 1 + len(pw.j) for pw in pairs), default=0),
+            max((len(_ratio(pw.decision_i_vs_j)) for pw in pairs), default=0),
+            max((len(_ratio(pw.decision_j_vs_i)) for pw in pairs), default=0),
+            0,
+        ]
+        widths = list(map(max, widths, map(len, header)))
+        yield _line(header, widths)
+        for pw in pairs:
+            yield _line(
                 [
                     f"{pw.i}~{pw.j}",
-                    f"{pw.decision_i_vs_j.outlier_count}/{pw.decision_i_vs_j.threshold}",
-                    f"{pw.decision_j_vs_i.outlier_count}/{pw.decision_j_vs_i.threshold}",
+                    _ratio(pw.decision_i_vs_j),
+                    _ratio(pw.decision_j_vs_i),
                     "cannot be rejected" if pw.homogeneous else "rejected",
-                ]
+                ],
+                widths,
             )
-        lines += _table(rows)
-        lines.append("")
-        lines.append(
-            "homogeneity hypothesis: " + ("rejected" if hom.rejected else "cannot be rejected")
+        yield "\n"
+        yield (
+            "homogeneity hypothesis: "
+            + ("rejected" if hom.rejected else "cannot be rejected")
+            + "\nhomogeneous groups: "
+            + " ".join(_group_label(sorted(g)) for g in hom.groups)
+            + "\n\n"
         )
-        lines.append(
-            "homogeneous groups: " + " ".join(_group_label(sorted(g)) for g in hom.groups)
-        )
-        lines.append("")
 
     if report.common is not None:
         c = report.common
-        lines += ["pooled test on selected group", "-" * 29]
         assert report.selected_group is not None
-        lines.append(f"group: {_group_label(report.selected_group)}")
-        lines.append(f"tested parameter: {c.case.value}")
-        lines.append(f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}")
-        lines.append(
-            f"acceptance interval: {interval_text(c.decision.interval.lower, c.decision.interval.upper)}"
-        )
+        yield _heading("pooled test on selected group")
+        yield f"group: {_group_label(report.selected_group)}\n"
+        yield f"tested parameter: {c.case.value}\n"
+        yield f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}\n"
+        interval = c.decision.interval
+        yield f"acceptance interval: {interval_text(interval.lower, interval.upper)}\n"
         outliers = ", ".join(str(i) for i in c.decision.outlier_indices) or "none"
-        lines.append(
+        yield (
             f"outliers: {c.decision.outlier_count} of {c.decision.sample_size} "
-            f"(threshold {c.decision.threshold}) at merged positions: {outliers}"
+            f"(threshold {c.decision.threshold}) at merged positions: {outliers}\n"
         )
         if c.decision.outlier_indices:
             origins = ", ".join(f"{pid}[{idx}]" for pid, idx in c.outlier_origins)
-            lines.append(f"outlier origins: {origins}")
-        lines.append(f"hypothesis: {c.decision.verdict}")
-        lines.append("")
+            yield f"outlier origins: {origins}\n"
+        yield f"hypothesis: {c.decision.verdict}\n\n"
 
-    lines += ["warnings", "-" * 8]
+    yield _heading("warnings")
     if report.warnings:
-        lines += [f"- {w}" for w in report.warnings]
+        yield from (f"- {w}\n" for w in report.warnings)
     else:
-        lines.append("(none)")
-    return "\n".join(lines) + "\n"
+        yield "(none)\n"
+
+
+# The encoder of json.dumps(..., separators=(",", ":")), which is the C
+# encoder: one encode per piece keeps its speed without a whole document.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _structured_pieces(report: RunReport) -> Iterator[str]:
+    """:func:`report_to_dict` encoded one population at a time."""
+    yield _JSON.encode(_report_head(report))[:-1] + ',"populations":['
+    for k, population in enumerate(report.populations):
+        if k:
+            yield ","
+        yield _JSON.encode(_population_entry(population))
+    yield "]}\n"
+
+
+def _report_pieces(report: RunReport, format: str) -> Iterator[str]:
+    """The report document in order, in pieces that a caller writes as they
+    come, so the whole document never exists at once."""
+    if format == "text":
+        return _text_pieces(report)
+    if format == "structured":
+        return _structured_pieces(report)
+    raise ValueError(f"format must be 'text' or 'structured', got {format!r}")
 
 
 def emit_report(report: RunReport, format: str = "text") -> str:
     """Render a report as a text document or a versioned structured document."""
-    if format == "text":
-        return _render_text(report)
-    if format == "structured":
-        return json.dumps(report_to_dict(report), separators=(",", ":")) + "\n"
-    raise ValueError(f"format must be 'text' or 'structured', got {format!r}")
+    return "".join(_report_pieces(report, format))
 
 
 def parse_report(document: str) -> RunReport:

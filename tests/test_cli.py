@@ -252,6 +252,16 @@ class TestTextReport:
         assert run(["--data", data, "--mode", "fit", "--report", report]) == 0
         assert "\u00e9" in report.read_text(encoding="utf-8")
 
+    def test_structured_report_suits_an_ascii_stdout(self, tmp_path, monkeypatch):
+        data = tmp_path / "e.csv"
+        data.write_text("population,value\n\u00e9,1\n\u00e9,2\n\u00e9,3.5\n", encoding="utf-8")
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+        assert run(["--data", data, "--mode", "fit", "--format", "structured"]) == 0
+        sys.stdout.flush()
+        report = u.parse_report(raw.getvalue().decode("ascii"))
+        assert report.populations[0].sample.id == "\u00e9"
+
 
 class TestFlags:
     def test_report_file_and_structured_format(self, field_paths, tmp_path):
@@ -313,6 +323,79 @@ class TestFlags:
     def test_unwritable_report_path_is_two(self, field_paths, tmp_path, capsys):
         data, config = field_paths
         assert run(["--data", data, "--config", config, "--report", tmp_path / "no" / "dir.txt"]) == 2
+
+    def test_a_failed_run_writes_no_report(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("population,value\na,1\na,1\nb,2\nb,3\n", encoding="utf-8")
+        out = tmp_path / "r.txt"
+        assert run(["--data", data, "--report", out]) == 3
+        assert not out.exists()
+
+    def test_report_and_file_match_emit_report(self, field_paths, tmp_path, capsys):
+        data, config = field_paths
+        samples, cfg = u.ingest(data, config)
+        report = u.run_pipeline(samples, cfg)
+        for fmt in ("text", "structured"):
+            out = tmp_path / f"r.{fmt}"
+            assert run(["--data", data, "--config", config, "--format", fmt, "--report", out]) == 0
+            assert run(["--data", data, "--config", config, "--format", fmt]) == 0
+            expected = u.emit_report(report, fmt)
+            assert out.read_bytes() == expected.encode("utf-8")
+            assert capsys.readouterr().out == expected
+
+
+class TestOutputPaths:
+    """An output file may not be an input, nor the other output."""
+
+    @pytest.fixture
+    def study(self, field_paths, tmp_path):
+        paths = tmp_path / "tm.csv", tmp_path / "tm.json"
+        for copy_, original in zip(paths, field_paths):
+            copy_.write_bytes(Path(original).read_bytes())
+        return paths
+
+    @pytest.mark.parametrize(
+        "flag, target, named",
+        [
+            ("--report", "tm.csv", "--data"),
+            ("--report", "tm.json", "--config"),
+            ("--plot-data", "tm.csv", "--data"),
+            ("--plot-data", "tm.json", "--config"),
+            ("--report", "sub/../tm.csv", "--data"),
+            ("--report", "link.csv", "--data"),
+            ("--plot-data", "hard.json", "--config"),
+        ],
+    )
+    def test_an_output_naming_an_input_is_two(self, study, tmp_path, capsys, flag, target, named):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(study[0])
+        (tmp_path / "hard.json").hardlink_to(study[1])
+        before = [path.read_bytes() for path in study]
+        argv = ["--data", study[0], "--config", study[1], "--format", "structured"]
+        assert run(argv + [flag, tmp_path / target]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} and {named} name the same file" in err and "Traceback" not in err
+        assert [path.read_bytes() for path in study] == before
+
+    def test_plot_data_naming_the_report_is_two(self, study, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--data", study[0], "--config", study[1], "--report", out]
+        assert run(argv + ["--plot-data", out]) == 2
+        assert "--plot-data and --report name the same file" in capsys.readouterr().err
+        assert not out.exists()
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "sub")
+        assert run(argv + ["--plot-data", tmp_path / "link" / ".." / "out"]) == 2
+        assert not out.exists()
+        out.write_text("kept", encoding="utf-8")
+        assert run(argv + ["--plot-data", tmp_path / "." / "out"]) == 2
+        assert out.read_text(encoding="utf-8") == "kept"
+
+    def test_distinct_outputs_are_written(self, study, tmp_path):
+        argv = ["--data", study[0], "--config", study[1], "--report", tmp_path / "r.txt",
+                "--plot-data", tmp_path / "p.csv"]
+        assert run(argv) == 0
+        assert (tmp_path / "r.txt").is_file() and (tmp_path / "p.csv").is_file()
 
 
 @pytest.fixture

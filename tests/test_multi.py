@@ -569,6 +569,12 @@ class TestHomogeneousGroups:
             frozenset({"c", "d"}),
         )
 
+    def test_no_populations_make_no_groups(self):
+        assert homogeneous_groups([], []) == ()
+        assert _maximal_cliques([]) == []
+        with pytest.raises(ValueError, match="does not match the id list"):
+            homogeneous_groups([], [make_pairwise("1", "2", True)])
+
     def test_incomplete_coverage(self):
         ids = ["1", "2", "3"]
         pairwise = [make_pairwise("1", "2", True)]

@@ -12,7 +12,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import uncstat as u
@@ -21,6 +21,7 @@ from uncstat import (
     ConfigurationError,
     DataFormatError,
     NormalUncertain,
+    NumericError,
     ParameterCase,
     PopulationConfig,
     PopulationSample,
@@ -28,7 +29,7 @@ from uncstat import (
     cross_interval,
 )
 from uncstat import multi, pipeline, testing
-from uncstat.pipeline import MODES, _fmt3, config_from_dict, config_to_dict
+from uncstat.pipeline import MODES, _fmt3, _fmt_interval, config_from_dict, config_to_dict
 from test_multi import CASE_PATTERN, PIN_PATTERNS
 
 
@@ -985,6 +986,217 @@ class TestTextReport:
         assert _fmt3(-3.5e30) == "-35" + "0" * 29 + ".000"
         assert _fmt3(1.7976931348623157e308) == "17976931348623157" + "0" * 292 + ".000"
         assert _fmt3(5e-324) == "0.000"
+
+
+def reference_render_text(report):
+    """The text report built whole, as every line before the join: the plain
+    definition the streamed pieces are checked against."""
+    interval_text = _fmt_interval
+
+    def table(rows):
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return ["  ".join(map(str.ljust, r, widths)).rstrip() for r in rows]
+
+    def label(ids):
+        return "{%s}" % ",".join(ids)
+
+    lines = []
+    title = "multi-population uncertainty test report"
+    lines += [title, "=" * len(title), ""]
+    lines += [
+        f"mode: {report.mode}",
+        f"significance level: {report.alpha:g}",
+        f"parameter case: {report.case.value}",
+        "",
+    ]
+    lines += ["population fits and self-tests", "-" * 30]
+    rows = [["id", "m", "e", "sigma", "acceptance interval", "outliers", "self-test"]]
+    for p in report.populations:
+        rows.append(
+            [
+                p.sample.id,
+                str(p.sample.size),
+                _fmt3(p.fit.e),
+                _fmt3(p.fit.sigma),
+                interval_text(p.self_test.interval.lower, p.self_test.interval.upper),
+                str(p.self_test.outlier_count),
+                p.self_test.verdict,
+            ]
+        )
+    lines += table(rows)
+    lines.append("")
+
+    if report.homogeneity is not None:
+        hom = report.homogeneity
+        ordered = [p.sample.id for p in report.populations]
+        intervals = {}
+        for p in report.populations:
+            intervals[(p.sample.id, p.sample.id)] = p.self_test.interval
+        for pw in hom.pairwise:
+            intervals[(pw.i, pw.j)] = pw.decision_i_vs_j.interval
+            intervals[(pw.j, pw.i)] = pw.decision_j_vs_i.interval
+        lines += ["acceptance intervals (data rows vs parameter sources)", "-" * 53]
+        rows = [["data\\source"] + ordered]
+        for di in ordered:
+            rows.append(
+                [di] + [interval_text(intervals[di, pj].lower, intervals[di, pj].upper)
+                        for pj in ordered]
+            )
+        lines += table(rows)
+        lines.append("")
+
+        lines += ["pairwise equality tests", "-" * 23]
+        rows = [["pair", "outliers i|j", "outliers j|i", "equality"]]
+        for pw in hom.pairwise:
+            rows.append(
+                [
+                    f"{pw.i}~{pw.j}",
+                    f"{pw.decision_i_vs_j.outlier_count}/{pw.decision_i_vs_j.threshold}",
+                    f"{pw.decision_j_vs_i.outlier_count}/{pw.decision_j_vs_i.threshold}",
+                    "cannot be rejected" if pw.homogeneous else "rejected",
+                ]
+            )
+        lines += table(rows)
+        lines.append("")
+        lines.append(
+            "homogeneity hypothesis: " + ("rejected" if hom.rejected else "cannot be rejected")
+        )
+        lines.append("homogeneous groups: " + " ".join(label(sorted(g)) for g in hom.groups))
+        lines.append("")
+
+    if report.common is not None:
+        c = report.common
+        lines += ["pooled test on selected group", "-" * 29]
+        lines.append(f"group: {label(report.selected_group)}")
+        lines.append(f"tested parameter: {c.case.value}")
+        lines.append(f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}")
+        lines.append(
+            "acceptance interval: "
+            + interval_text(c.decision.interval.lower, c.decision.interval.upper)
+        )
+        outliers = ", ".join(str(i) for i in c.decision.outlier_indices) or "none"
+        lines.append(
+            f"outliers: {c.decision.outlier_count} of {c.decision.sample_size} "
+            f"(threshold {c.decision.threshold}) at merged positions: {outliers}"
+        )
+        if c.decision.outlier_indices:
+            origins = ", ".join(f"{pid}[{idx}]" for pid, idx in c.outlier_origins)
+            lines.append(f"outlier origins: {origins}")
+        lines.append(f"hypothesis: {c.decision.verdict}")
+        lines.append("")
+
+    lines += ["warnings", "-" * 8]
+    if report.warnings:
+        lines += [f"- {w}" for w in report.warnings]
+    else:
+        lines.append("(none)")
+    return "\n".join(lines) + "\n"
+
+
+# Ids a CSV writer must quote, ids with padding and ids beyond ASCII.
+_REPORT_IDS = st.sampled_from(
+    ["a", "b", "c d", "x,y", 'q"t', "a\nb", " s ", "b ", "é", "ünï ü",
+     "日本", "long-identifier-of-a-population"]
+)
+
+
+@st.composite
+def reports(draw):
+    """Reports of every mode and parameter case, with pins, fixed
+    references, group selections and the warnings that go with them."""
+    case = draw(st.sampled_from(list(ParameterCase)))
+    pin = {
+        ParameterCase.MEANS_UNKNOWN: "known_sigma",
+        ParameterCase.SIGMAS_UNKNOWN: "known_e",
+        ParameterCase.BOTH_UNKNOWN: None,
+    }[case]
+    ids = draw(st.lists(_REPORT_IDS, min_size=1, max_size=6, unique=True))
+    values = st.lists(st.integers(-5000, 5000), min_size=2, max_size=12, unique=True)
+    samples = [
+        PopulationSample(
+            pid,
+            tuple(k * draw(st.sampled_from([0, 1, 4])) + x / 1000 for x in draw(values)),
+            **({pin: draw(st.integers(100, 3000)) / 1000} if pin else {}),
+        )
+        for k, pid in enumerate(ids)
+    ]
+    group = draw(st.none() | st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    theta0 = draw(
+        st.none()
+        | st.builds(
+            NormalUncertain,
+            st.integers(-3000, 3000).map(lambda x: x / 1000),
+            st.integers(100, 3000).map(lambda x: x / 1000),
+        )
+    )
+    config = RunConfig(
+        alpha=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3])),
+        case=case,
+        group_selection=None if group is None else tuple(group),
+        common_case=draw(st.sampled_from([None, *CommonCase])),
+        theta0_override=theta0,
+    )
+    try:
+        return u.run_pipeline(samples, config, mode=draw(st.sampled_from(MODES)))
+    except (ConfigurationError, NumericError):
+        assume(False)
+
+
+def write_report(report, fmt, path):
+    """Write a report to a file as the command line does: piece by piece."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pipeline._report_pieces(report, fmt))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReportPieces:
+    @given(report=reports())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_pieces_join_to_the_whole_documents(self, report):
+        structured = json.dumps(pipeline.report_to_dict(report), separators=(",", ":")) + "\n"
+        assert "".join(pipeline._report_pieces(report, "structured")) == structured
+        assert u.emit_report(report, "structured") == structured
+        text = reference_render_text(report)
+        assert "".join(pipeline._report_pieces(report, "text")) == text
+        assert u.emit_report(report, "text") == text
+
+    def test_unknown_format_fails_before_any_piece(self, toothmarks_report):
+        with pytest.raises(ValueError, match="'yaml'"):
+            pipeline._report_pieces(toothmarks_report, "yaml")
+
+    def test_structured_memory_does_not_grow_with_the_populations(self, tmp_path):
+        rng = random.Random(5)
+
+        def peak(n):
+            samples = [
+                PopulationSample(f"p{k}", tuple(rng.uniform(1.0, 2.0) for _ in range(2000)))
+                for k in range(n)
+            ]
+            report = u.run_pipeline(samples, RunConfig(), mode="fit")
+            return traced_peak(lambda: write_report(report, "structured", tmp_path / "r.json"))
+
+        # The whole document, encoded at once, made the peak grow with n.
+        assert peak(40) <= 1.1 * peak(4)
+
+    def test_text_memory_stays_below_the_document(self, tmp_path):
+        rng = random.Random(1)
+        samples = [
+            PopulationSample(f"p{k}", (rng.uniform(-1, 1), rng.uniform(-1, 1)), known_sigma=100.0)
+            for k in range(80)
+        ]
+        report = u.run_pipeline(samples, RunConfig(), mode="homogeneity")
+        path = tmp_path / "r.txt"
+        peak = traced_peak(lambda: write_report(report, "text", path))
+        # Every line held before the join made the peak six times the size.
+        assert peak < path.stat().st_size / 2
 
 
 class TestPlotData:
