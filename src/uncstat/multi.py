@@ -14,21 +14,29 @@ The pairwise stage shares its work across pairs (:class:`CrossTests`): each
 band is built once per reference distribution, and every ordered pair of a
 group is decided when the table is built, one row per population.  A row
 sorts the population's candidates, the values outside the intersection of
-the bands it meets, once, and counts each band by bisecting them alone.
-Homogeneous groups are enumerated on neighbour bitsets by a clique search
-with a fixed work budget (:data:`CLIQUE_BUDGET`), on a run and on a reload
-alike.
+the bands it meets, once, and keeps two cut indices into them per band,
+found by bisection.  So a decision is two cuts and a comparison, and no
+record is built until one is read: :meth:`CrossTests.decide` builds the one
+it is asked for, and :meth:`CrossTests.pairwise` is a read-only sequence
+that builds each pair when it is read.  The table holds at most
+:data:`PAIR_BUDGET` pairs.  Homogeneous groups are enumerated on neighbour
+bitsets by a clique search with a fixed work budget
+(:data:`CLIQUE_BUDGET`); a run builds the bitsets from its records, a reload
+from the table's cuts.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, compress, repeat, starmap
+from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, NumericError
 from .testing import (
@@ -37,6 +45,7 @@ from .testing import (
     Record,
     TestDecision,
     acceptance_interval,
+    rejection_threshold,
     test_against_interval,
 )
 # Unused since homogeneity_test takes fits, but bench/spans.py still wraps
@@ -56,6 +65,7 @@ __all__ = [
     "homogeneity_test",
     "homogeneous_groups",
     "CLIQUE_BUDGET",
+    "PAIR_BUDGET",
 ]
 
 
@@ -88,6 +98,11 @@ FittedGroup = Sequence[tuple[PopulationSample, NormalUncertain]]
 # graph on n vertices can have 3**(n/3) maximal cliques (Moon & Moser 1965),
 # and the pivoted search expands O(3**(n/3)) nodes (Tomita et al. 2006).
 CLIQUE_BUDGET = 100_000
+
+# Pairs of populations a CrossTests table may hold (1,414 populations).  A
+# run keeps a record of every pair, so this bounds its time and memory: see
+# README, "Cost of the pairwise stage".
+PAIR_BUDGET = 1_000_000
 
 
 def describe_pins(pins: tuple[bool, bool]) -> str:
@@ -123,32 +138,29 @@ class PairwiseDecision(
         homogeneous = not (decision_i_vs_j.rejected or decision_j_vs_i.rejected)
         return tuple.__new__(cls, (i, j, decision_i_vs_j, decision_j_vs_i, homogeneous))
 
-    @classmethod
-    def batch(
-        cls, pairs: Iterable[tuple[str, str, TestDecision, TestDecision]]
-    ) -> list[PairwiseDecision]:
-        """``[cls(*p) for p in pairs]``: the rule of ``__new__`` with no Python
-        call per record."""
-        new = tuple.__new__
-        return [new(cls, (i, j, a, b, not (a.rejected or b.rejected))) for i, j, a, b in pairs]
-
     def __getnewargs__(self) -> tuple:
         return self[:4]
 
 
 @dataclass(frozen=True)
 class HomogeneityResult:
-    """Pairwise cross-tests and the homogeneous subgroups they imply."""
+    """Pairwise cross-tests and the homogeneous subgroups they imply.
+
+    ``pairwise`` is a tuple on a run and the table-backed sequence of
+    :meth:`CrossTests.pairwise` on a reload; the two are equal under ``==``.
+    """
 
     case: ParameterCase
     alpha: float
-    pairwise: tuple[PairwiseDecision, ...]
+    pairwise: Sequence[PairwiseDecision]
     groups: tuple[frozenset[str], ...]
 
     @property
     def rejected(self) -> bool:
-        """One heterogeneous pair rejects overall homogeneity."""
-        return not all(p.homogeneous for p in self.pairwise)
+        """One heterogeneous pair rejects overall homogeneity.  On two or more
+        populations the graph is complete exactly when it has one group, so
+        no record is read."""
+        return len(self.groups) > 1
 
 
 def ufwer(alphas: Sequence[float]) -> float:
@@ -196,6 +208,16 @@ def cross_interval(
     return acceptance_interval(NormalUncertain(*_reference(CASE_PINS[case], pop_i, fit_j)), alpha)
 
 
+# One row of a CrossTests table: the member's candidates (the values outside
+# the intersection of its bands) as 1-based positions sorted by value, each
+# column's two cuts of them, each column's band, the sample size, the
+# rejection threshold, and the outlier tuples decide has made, by cut.
+_Row = namedtuple("_Row", "positions lows highs bands size threshold shared")
+
+# Maps the bytes 0 and 1 to the digits "0" and "1".
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 class CrossTests:
     """Cross-test decisions of one group of populations at one level.
 
@@ -208,19 +230,25 @@ class CrossTests:
     decisions against every other member's fit.  A member meets one band per
     other member, and a value inside their intersection ``[lo, hi]`` is
     inside every one of them; so a row scans its member's values once for
-    the candidates, the values outside ``[lo, hi]``, sorted with their
-    1-based positions.  Each band contains ``[lo, hi]``, so it is counted by
-    two bisections over the candidates, and bands that cut the candidates at
-    the same place share one outlier tuple.
+    the candidates, the values outside ``[lo, hi]``, sorted by value.  Each
+    band contains ``[lo, hi]``, so its outliers are the candidates below the
+    cut ``bisect_left`` finds at its lower end and from the cut
+    ``bisect_right`` finds at its upper end on.  A row keeps only its
+    candidates' positions and two cuts per column, and members with the same
+    pins share one list of bands; a column rejects when the cuts leave at
+    least the threshold outside.  No record is built until one is read.
 
     :meth:`decide` finds a member by the identity of its sample and another
-    member by the identity of its fit, and looks their decision up; any
-    other pair, a member's own fit included, is counted by the linear scan
-    of :func:`~uncstat.testing.count_outliers`, the reference definition.
-    Decisions equal ``test_against_interval(pop_i, cross_interval(...))``.
+    member by the identity of its fit, and builds their decision from the
+    row; any other pair, a member's own fit included, is counted by the
+    linear scan of :func:`~uncstat.testing.count_outliers`, the reference
+    definition.  Decisions equal ``test_against_interval(pop_i,
+    cross_interval(...))``.
 
-    A :class:`~uncstat.errors.NumericError` from a member's band is raised
-    again with both populations' ids in front of its message.
+    A group with more than :data:`PAIR_BUDGET` pairs is a
+    :class:`~uncstat.errors.ConfigurationError`, raised before any row is
+    built.  A :class:`~uncstat.errors.NumericError` from a member's band is
+    raised again with both populations' ids in front of its message.
     """
 
     def __init__(self, case: ParameterCase, alpha: float, group: FittedGroup = ()) -> None:
@@ -228,54 +256,64 @@ class CrossTests:
         self.alpha = check_level(alpha)
         self._pins = CASE_PINS[case]
         self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
+        self._members = tuple(group)
+        n = len(self._members)
+        if n * (n - 1) // 2 > PAIR_BUDGET:
+            raise ConfigurationError(
+                f"{n} populations make {n * (n - 1) // 2} pairs to cross-test, more than "
+                f"the budget of {PAIR_BUDGET} pairs; fit each population with --mode fit, "
+                "or test a chosen group with --mode common and --group"
+            )
         # Rows and columns are found by object identity; the table holds the
         # members, so no other object can take one of those identities while
         # it lives.  A repeated sample or fit finds its last member.
-        self._members = tuple(group)
         self._row_of = {id(sample): k for k, (sample, _) in enumerate(self._members)}
         self._column_of = {id(fit): j for j, (_, fit) in enumerate(self._members)}
-        self._rows = [self._decide_row(k) for k in range(len(self._members))]
+        # Per pinned (e, sigma): each column's band, lower and upper end, the
+        # ends infinite until a row needs the band.
+        by_pins: dict[tuple[float | None, float | None], tuple[list, list, list]] = {}
+        self._rows = [self._build_row(k, by_pins) for k in range(n)]
 
-    def _decide_row(self, k: int) -> list[TestDecision | None]:
-        """Member ``k``'s decisions against each member's fit, None against its own."""
+    def _build_row(self, k: int, by_pins: dict[tuple, tuple[list, list, list]]) -> _Row:
+        """Member ``k``'s row against every other member's fit."""
         members = self._members
+        n = len(members)
         sample = members[k][0]
-        # The row's pins are bound once; each key is _reference(sample, fit).
-        e, sigma = _pinned(self._pins, sample)
-        table, bands = self._bands, []
-        lo, hi = -math.inf, math.inf
-        for source, fit in members[:k] + members[k + 1 :]:
+        e, sigma = pins = _pinned(self._pins, sample)
+        columns = by_pins.get(pins)
+        if columns is None:
+            columns = by_pins[pins] = [None] * n, [-math.inf] * n, [math.inf] * n
+        bands, lowers, uppers = columns
+        # After the first row of a pin pattern, at most that row's own column is missing.
+        for j in compress(range(n), map(operator.is_, bands, repeat(None))):
+            if j == k:
+                continue
+            source, fit = members[j]
             key = fit.e if e is None else e, fit.sigma if sigma is None else sigma
-            band = table.get(key)
-            if band is None:
-                try:
-                    band = self._band_at(key)
-                except NumericError as exc:
-                    raise type(exc)(
-                        f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
-                    ) from None
-            bands.append(band)
-            lo = band.lower if band.lower > lo else lo
-            hi = band.upper if band.upper < hi else hi
-        # Indices of the candidates, sorted by value.
+            try:
+                band = self._band_at(key)
+            except NumericError as exc:
+                raise type(exc)(
+                    f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
+                ) from None
+            bands[j], lowers[j], uppers[j] = band, band.lower, band.upper
+        # The intersection of the other columns' bands: the row's own column
+        # is set to the whole line while the ends are taken.
+        own = lowers[k], uppers[k]
+        lowers[k], uppers[k] = -math.inf, math.inf
+        lo, hi = max(lowers), min(uppers)
+        lowers[k], uppers[k] = own
         values = sample.values
         outside = [i for i, z in enumerate(values) if z < lo or z > hi]
         outside.sort(key=values.__getitem__)
         candidates = [values[i] for i in outside]
-        positions = [i + 1 for i in outside]
-        shared: dict[tuple[int, int], tuple[int, ...]] = {}
-        outlier_sets = []
-        for band in bands:
-            # An endpoint value is inside: bisect_left stops before it at the
-            # lower end, bisect_right passes it at the upper end.
-            cut = bisect_left(candidates, band.lower), bisect_right(candidates, band.upper)
-            outliers = shared.get(cut)
-            if outliers is None:
-                outliers = shared[cut] = tuple(sorted(positions[: cut[0]] + positions[cut[1] :]))
-            outlier_sets.append(outliers)
-        row: list[TestDecision | None] = TestDecision.batch(bands, outlier_sets, len(values))
-        row.insert(k, None)
-        return row
+        # An endpoint value is inside: bisect_left stops before it at the
+        # lower end, bisect_right passes it at the upper end.  A missing
+        # band's infinite ends cut nothing off.
+        lows = array("I", map(bisect_left, repeat(candidates, n), lowers))
+        highs = array("I", map(bisect_right, repeat(candidates, n), uppers))
+        threshold = rejection_threshold(len(values), self.alpha)
+        return _Row([i + 1 for i in outside], lows, highs, bands, len(values), threshold, {})
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
@@ -294,17 +332,112 @@ class CrossTests:
         j = self._column_of.get(id(fit_j))
         if k is None or j is None or j == k:  # not a member against another member's fit
             return test_against_interval(pop_i, self.band(pop_i, fit_j))
-        return self._rows[k][j]
-
-    def pairwise(self) -> tuple[PairwiseDecision, ...]:
-        """Every pair of members, both directions, in :func:`itertools.combinations` order."""
-        rows, ids = self._rows, [sample.id for sample, _ in self._members]
-        return tuple(
-            PairwiseDecision.batch(
-                (ids[a], ids[b], rows[a][b], rows[b][a])
-                for a, b in combinations(range(len(ids)), 2)
-            )
+        # A run decides every pair here; its records share outlier tuples by
+        # row and cut, as the cuts do.
+        positions, lows, highs, bands, size, threshold, shared = self._rows[k]
+        low, high = lows[j], highs[j]
+        if not low and high == len(positions):
+            outliers = ()
+        elif (outliers := shared.get((low, high))) is None:
+            outliers = positions[:low]
+            outliers += positions[high:]
+            outliers.sort()
+            outliers = shared[low, high] = tuple(outliers)
+        return tuple.__new__(
+            TestDecision, (bands[j], outliers, size, threshold, len(outliers) >= threshold)
         )
+
+    def _decision(self, k: int, j: int) -> TestDecision:
+        """Member ``k``'s decision against member ``j``'s fit, with an outlier
+        tuple of its own."""
+        positions, lows, highs, bands, size, threshold, _ = self._rows[k]
+        low, high = lows[j], highs[j]
+        outliers = ()
+        if low or high < len(positions):
+            outliers = tuple(sorted(positions[:low] + positions[high:]))
+        return tuple.__new__(
+            TestDecision, (bands[j], outliers, size, threshold, len(outliers) >= threshold)
+        )
+
+    def _pair(self, a: int, b: int) -> PairwiseDecision:
+        """The decision of members ``a`` and ``b``, both directions."""
+        ij, ji = self._decision(a, b), self._decision(b, a)
+        i, j = self._members[a][0].id, self._members[b][0].id
+        return tuple.__new__(PairwiseDecision, (i, j, ij, ji, not (ij.rejected or ji.rejected)))
+
+    def pairwise(self) -> Sequence[PairwiseDecision]:
+        """Every pair of members, both directions, in :func:`itertools.combinations`
+        order: a read-only sequence that builds each pair when it is read."""
+        return _Pairs(self)
+
+    def _neighbours(self) -> list[int]:
+        """Neighbour bitsets of the homogeneity graph on the members: bit ``b``
+        of entry ``a`` is set when neither row rejects the other's column."""
+        rows, n = self._rows, len(self._rows)
+        # Row k rejects column j when lows[j] + (c - highs[j]) >= threshold,
+        # for c candidates: one binary digit per column, column j at digit j,
+        # so that column a of every row is every n-th digit from a.
+        digits = []
+        for row in rows:
+            rejected = map(operator.sub, row.lows, row.highs)
+            rejected = map(operator.ge, rejected, repeat(row.threshold - len(row.positions)))
+            digits.append(bytes(rejected).translate(_DIGITS))
+        text = b"".join(digits)
+        everyone = (1 << n) - 1
+        return [
+            everyone & ~(int(own[::-1], 2) | int(text[a::n][::-1], 2) | 1 << a)
+            for a, own in enumerate(digits)
+        ]
+
+
+class _Pairs(Sequence):
+    """The pairs of a :class:`CrossTests` table, in ``combinations`` order,
+    each built when it is read.
+
+    It equals, and hashes like, the tuple of the same records, and it
+    pickles and copies as that tuple.
+    """
+
+    __slots__ = ("_tests",)
+
+    def __init__(self, tests: CrossTests) -> None:
+        self._tests = tests
+
+    def __len__(self) -> int:
+        n = len(self._tests._rows)
+        return n * (n - 1) // 2
+
+    def __getitem__(self, index: int | slice) -> PairwiseDecision | tuple[PairwiseDecision, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        t = operator.index(index)
+        t = t + len(self) if t < 0 else t
+        if not 0 <= t < len(self):
+            raise IndexError("pair index out of range")
+        # Row a's pairs start at a * (u - a) / 2 with u = 2n - 1: take the
+        # largest such start not above t.
+        u = 2 * len(self._tests._rows) - 1
+        a = (u - math.isqrt(u * u - 8 * t)) // 2
+        if a * (u - a) // 2 > t:
+            a -= 1
+        return self._tests._pair(a, t - a * (u - a) // 2 + a + 1)
+
+    def __iter__(self) -> Iterator[PairwiseDecision]:
+        return starmap(self._tests._pair, combinations(range(len(self._tests._rows)), 2))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Pairs)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self) -> tuple:
+        return tuple, (tuple(self),)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def pairwise_test(
@@ -363,8 +496,13 @@ def homogeneous_groups(
     singletons.
     """
     id_list = list(ids)
-    neighbours = _graph(id_list, pairwise)
-    cliques = [sorted(id_list[v] for v in _bits(c)) for c in _maximal_cliques(neighbours)]
+    return _groups(id_list, _graph(id_list, pairwise))
+
+
+def _groups(ids: Sequence[str], neighbours: Sequence[int]) -> tuple[frozenset[str], ...]:
+    """The maximal cliques of the graph ``neighbours`` on the positions of
+    ``ids``, as sets of ids in the order of :func:`homogeneous_groups`."""
+    cliques = [sorted(ids[v] for v in _bits(c)) for c in _maximal_cliques(neighbours)]
     return tuple(frozenset(c) for c in sorted(cliques, key=_group_order))
 
 
@@ -385,23 +523,25 @@ def _graph(ids: Sequence[str], pairwise: Sequence[PairwiseDecision]) -> list[int
     index = {pid: k for k, pid in enumerate(ids)}
     if len(index) != n:
         raise ValueError("population ids must be unique")
-    seen: set[tuple[int, int]] = set()
+    # Bit b of seen[a], a < b, is set once a decision for the pair was read.
+    seen = [0] * n
     neighbours = [0] * n
     for p in pairwise:
         a, b = index.get(p.i), index.get(p.j)
         if a is None or b is None or a == b:
             raise ValueError(f"pairwise decision {p.i!r}/{p.j!r} does not match the id list")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
+        if a > b:
+            a, b = b, a
+        if seen[a] >> b & 1:
             raise ValueError(f"duplicate pairwise decision for {p.i!r}/{p.j!r}")
-        seen.add(key)
+        seen[a] |= 1 << b
         if p.homogeneous:
             neighbours[a] |= 1 << b
             neighbours[b] |= 1 << a
-    # seen holds distinct pairs of ids, so it covers them all iff its size matches.
-    if len(seen) != n * (n - 1) // 2:
+    # seen holds distinct pairs, so it covers them all iff its count matches.
+    if sum(map(int.bit_count, seen)) != n * (n - 1) // 2:
         pairs = combinations(range(n), 2)
-        missing = sorted(tuple(sorted(ids[k] for k in ab)) for ab in pairs if ab not in seen)
+        missing = sorted(tuple(sorted((ids[a], ids[b]))) for a, b in pairs if not seen[a] >> b & 1)
         raise ValueError(f"pairwise decisions missing for pairs: {missing}")
     return neighbours
 

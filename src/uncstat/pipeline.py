@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -28,8 +28,8 @@ from .multi import (
     ParameterCase,
     check_case,
     describe_pins,
+    _groups,
     homogeneity_test,
-    homogeneous_groups,
 )
 from .pooling import CommonCase, CommonTestResult, common_test
 from .testing import PopulationSample, TestDecision, band_quantiles, fit_and_verify
@@ -642,13 +642,14 @@ def _rederive_homogeneity(
 ) -> HomogeneityResult:
     """What :func:`homogeneity_test` returns for ``group``, for a reload.
 
-    The pairs come from :meth:`CrossTests.pairwise` rather than from
-    ``pairwise_test``, and the stage is not ``homogeneity_test``, because
-    calls to those two trace the work of a run.
+    The pairs are the table-backed sequence of :meth:`CrossTests.pairwise`,
+    built only when read, and the groups come from the table's bitsets, so a
+    reload builds no record.  The stage calls neither ``pairwise_test`` nor
+    ``homogeneity_test``, because calls to those two trace the work of a run.
     """
-    pairwise = CrossTests(case, alpha, group).pairwise()
-    groups = homogeneous_groups([s.id for s, _ in group], pairwise)
-    return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
+    tests = CrossTests(case, alpha, group)
+    groups = _groups([s.id for s, _ in group], tests._neighbours())
+    return HomogeneityResult(case=case, alpha=alpha, pairwise=tests.pairwise(), groups=groups)
 
 
 # --------------------------------------------------------------------------
@@ -687,14 +688,12 @@ def _group_label(ids: Sequence[str]) -> str:
     return "{%s}" % ",".join(ids)
 
 
-def _ratio(decision: TestDecision) -> str:
-    return f"{decision.outlier_count}/{decision.threshold}"
-
-
 def _text_pieces(report: RunReport) -> Iterator[str]:
-    """The text report, a line or a few at a time.  Of its tables only the
-    fits, one row per population, are held whole, and the interval matrix
-    as a pointer per cell."""
+    """The text report, a line or a few at a time, and the pair table a few
+    hundred rows at a time.  Of its tables only the fits, one row per
+    population, are held whole, and the interval matrix as a pointer per
+    cell.  The pairs are walked twice: once for the matrix and the pair
+    table's widths, once for the pair table's rows."""
     # With equal pins, or none, the n x n interval matrix and the self-tests
     # hold one band per source, so each is formatted once; the bound keeps
     # the cache small when every cell's band differs.
@@ -732,45 +731,51 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
         matrix = [[""] * len(ordered) for _ in ordered]
         for k, p in enumerate(report.populations):
             matrix[k][k] = interval_text(p.self_test.interval.lower, p.self_test.interval.upper)
-        for pw in hom.pairwise:
-            a, b = position[pw.i], position[pw.j]
-            ij, ji = pw.decision_i_vs_j.interval, pw.decision_j_vs_i.interval
-            matrix[a][b] = interval_text(ij.lower, ij.upper)
-            matrix[b][a] = interval_text(ji.lower, ji.upper)
+        # One walk over the pairs fills the matrix and measures the columns of
+        # the pair table, whose rows are then made in a second walk.  A
+        # "count/threshold" cell is widest at the largest count of its
+        # threshold, so each direction keeps that count per threshold.  The
+        # last column needs no width, as _line strips its padding.
+        header = ["pair", "outliers i|j", "outliers j|i", "equality"]
+        w0 = len(header[0])
+        most_ij: dict[int, int] = {}
+        most_ji: dict[int, int] = {}
+        for i, j, ij, ji, _ in hom.pairwise:
+            a, b = position[i], position[j]
+            matrix[a][b] = interval_text(ij.interval.lower, ij.interval.upper)
+            matrix[b][a] = interval_text(ji.interval.lower, ji.interval.upper)
+            # Comparisons, not max(): this loop runs once per pair.
+            if (width := len(i) + 1 + len(j)) > w0:
+                w0 = width
+            if (count := len(ij.outlier_indices)) > most_ij.get(ij.threshold, -1):
+                most_ij[ij.threshold] = count
+            if (count := len(ji.outlier_indices)) > most_ji.get(ji.threshold, -1):
+                most_ji[ji.threshold] = count
+        w1, w2 = (
+            max([len(name), *(len(f"{count}/{threshold}") for threshold, count in most.items())])
+            for name, most in zip(header[1:3], (most_ij, most_ji))
+        )
 
         yield _heading("acceptance intervals (data rows vs parameter sources)")
-        header = ["data\\source", *ordered]
-        widths = [max(map(len, header))]
+        columns = ["data\\source", *ordered]
+        widths = [max(map(len, columns))]
         widths += [max(map(len, chain([pid], cells))) for pid, cells in zip(ordered, zip(*matrix))]
-        yield _line(header, widths)
+        yield _line(columns, widths)
         for pid, cells in zip(ordered, matrix):
             yield _line([pid, *cells], widths)
         yield "\n"
 
-        # One row per pair: the widths come from the lengths of the ids and
-        # of the counts, so no row is kept.  The last column needs no width,
-        # as _line strips its padding.
+        # The rows, padded as _line pads them, a few hundred to a piece.
         yield _heading("pairwise equality tests")
-        header = ["pair", "outliers i|j", "outliers j|i", "equality"]
-        pairs = hom.pairwise
-        widths = [
-            max((len(pw.i) + 1 + len(pw.j) for pw in pairs), default=0),
-            max((len(_ratio(pw.decision_i_vs_j)) for pw in pairs), default=0),
-            max((len(_ratio(pw.decision_j_vs_i)) for pw in pairs), default=0),
-            0,
-        ]
-        widths = list(map(max, widths, map(len, header)))
-        yield _line(header, widths)
-        for pw in pairs:
-            yield _line(
-                [
-                    f"{pw.i}~{pw.j}",
-                    _ratio(pw.decision_i_vs_j),
-                    _ratio(pw.decision_j_vs_i),
-                    "cannot be rejected" if pw.homogeneous else "rejected",
-                ],
-                widths,
-            )
+        yield _line(header, [w0, w1, w2, 0])
+        rows = (
+            f"{i + '~' + j:<{w0}}  {f'{len(ij.outlier_indices)}/{ij.threshold}':<{w1}}  "
+            f"{f'{len(ji.outlier_indices)}/{ji.threshold}':<{w2}}  "
+            f"{'cannot be rejected' if homogeneous else 'rejected'}\n"
+            for i, j, ij, ji, homogeneous in hom.pairwise
+        )
+        while piece := "".join(islice(rows, 256)):
+            yield piece
         yield "\n"
         yield (
             "homogeneity hypothesis: "

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import NumericError
 from .udist import NormalUncertain, check_level, check_parameters, fit_moments, std_quantile
@@ -165,25 +165,6 @@ class TestDecision(
         threshold = rejection_threshold(sample_size, interval.alpha)
         rejected = len(outlier_indices) >= threshold
         return tuple.__new__(cls, (interval, outlier_indices, sample_size, threshold, rejected))
-
-    @classmethod
-    def batch(
-        cls,
-        intervals: Sequence[AcceptanceInterval],
-        outlier_sets: Iterable[tuple[int, ...]],
-        sample_size: int,
-    ) -> list[TestDecision]:
-        """``[cls(b, o, sample_size) for b, o in zip(intervals, outlier_sets)]``
-        for intervals of one level: the rule of ``__new__`` with one threshold
-        and no Python call per record."""
-        if not intervals:
-            return []
-        threshold = rejection_threshold(sample_size, intervals[0].alpha)
-        new = tuple.__new__
-        return [
-            new(cls, (interval, outliers, sample_size, threshold, len(outliers) >= threshold))
-            for interval, outliers in zip(intervals, outlier_sets)
-        ]
 
     def __getnewargs__(self) -> tuple:
         return self[:3]

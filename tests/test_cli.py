@@ -209,6 +209,28 @@ class TestExitCodes:
             u.parse_report(document)
         assert run(["--data", data, "--config", config, "--mode", "common"]) == 0
 
+    def test_pairs_past_the_budget_are_two(self, field_paths, capsys, monkeypatch):
+        # The field study has 6 populations, so 15 pairs: one past a budget of 14.
+        data, config = field_paths
+        document = u.emit_report(u.run_pipeline(*u.ingest(data, config)), "structured")
+        rows = []
+        monkeypatch.setattr(u.multi, "PAIR_BUDGET", 14)
+        monkeypatch.setattr(u.multi.CrossTests, "_build_row", lambda self, k, _: rows.append(k))
+        assert run(["--data", data, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "6 populations make 15 pairs" in err and "budget of 14 pairs" in err
+        assert "--mode fit" in err and "--mode common and --group" in err
+        with pytest.raises(u.DataFormatError, match="15 pairs"):
+            u.parse_report(document)
+        assert rows == []  # refused before any row was built
+        for mode in ("fit", "common"):
+            assert run(["--data", data, "--config", config, "--mode", mode]) == 0
+
+    def test_pairs_at_the_budget_run(self, field_paths, monkeypatch):
+        data, config = field_paths
+        monkeypatch.setattr(u.multi, "PAIR_BUDGET", 15)
+        assert run(["--data", data, "--config", config, "--mode", "homogeneity"]) == 0
+
     def test_degenerate_sample_is_three(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("population,value\n1,2.0\n1,2.0\n1,2.0\n", encoding="utf-8")

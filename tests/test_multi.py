@@ -15,21 +15,33 @@ from uncstat import (
     ConfigurationError,
     CrossTests,
     NormalUncertain,
+    NumericError,
     PairwiseDecision,
     ParameterCase,
     PopulationSample,
+    RunConfig,
     TestDecision,
     acceptance_interval,
     cross_interval,
+    emit_report,
     fit_and_verify,
     fit_moments,
     homogeneity_test,
     homogeneous_groups,
     pairwise_test,
+    parse_report,
+    run_pipeline,
     single_test,
     ufwer,
 )
-from uncstat.multi import CLIQUE_BUDGET, _maximal_cliques, check_case
+from uncstat.multi import (
+    CLIQUE_BUDGET,
+    HomogeneityResult,
+    _graph,
+    _groups,
+    _maximal_cliques,
+    check_case,
+)
 
 
 def grid_values(min_size=3, max_size=12):
@@ -422,9 +434,9 @@ class TestCrossTests:
                 assert tests.decide(sample, fit) == definition(sample, fit)
         return tests
 
-    # The table makes its records in batches, pairwise_test its pairs with the
-    # constructor; in the means-unknown case every member pins its own scale,
-    # so band keys mix the row's pin with the column's fit.
+    # The table builds its records from its cuts, pairwise_test its pairs with
+    # the constructor; in the means-unknown case every member pins its own
+    # scale, so band keys mix the row's pin with the column's fit.
     @pytest.mark.parametrize("case", list(ParameterCase))
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -492,6 +504,90 @@ class TestCrossTests:
         assert self.assert_table_matches_the_definition(group, case, 0.05).pairwise() == ()
         with pytest.raises(ValueError, match="at least two"):
             homogeneity_test(group, case, 0.05)
+
+    # Ties, values equal to a band's ends, repeated fits, and groups 20 apart
+    # whose rows meet bands that share no point (not in the sigmas-unknown
+    # case, whose bands nest).
+    @pytest.mark.parametrize("case", list(ParameterCase))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_table_backed_pairs_equal_the_constructed_records(self, case, data):
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        n = data.draw(st.integers(2, 7))
+        spread = data.draw(st.sampled_from([0.1, 1.0, 20.0]))
+        locations = [data.draw(st.integers(-3, 3)) * spread for _ in range(n)]
+        if spread == 20.0:
+            locations = [spread * k for k in range(n)]
+        group = self.draw_group(data, case, alpha, locations)
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            group[b] = (group[b][0], group[a][1])
+
+        def definition(sample, fit):
+            return uncstat.testing.test_against_interval(
+                sample, cross_interval(case, sample, fit, alpha)
+            )
+
+        tests = CrossTests(case, alpha, group)
+        pairs = tests.pairwise()
+        expected = tuple(
+            PairwiseDecision(a.id, b.id, definition(a, fit_b), definition(b, fit_a))
+            for (a, fit_a), (b, fit_b) in combinations(group, 2)
+        )
+        assert pairs == expected and expected == pairs and not pairs != expected
+        assert hash(pairs) == hash(expected) and repr(pairs) == repr(expected)
+        assert tuple(pairs) == expected and len(pairs) == len(expected)
+        for copied in (pickle.loads(pickle.dumps(pairs)), copy.deepcopy(pairs), copy.copy(pairs)):
+            assert type(copied) is tuple and copied == expected
+        for k in range(-len(expected), len(expected)):
+            assert pairs[k] == expected[k]
+        for k in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                pairs[k]
+        ends = st.none() | st.integers(-len(expected) - 2, len(expected) + 2)
+        step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+        cut = slice(data.draw(ends), data.draw(ends), step)
+        assert pairs[cut] == expected[cut]
+
+        ids = [s.id for s, _ in group]
+        neighbours = tests._neighbours()
+        assert neighbours == _graph(ids, tuple(pairs))
+        result = HomogeneityResult(case, alpha, pairs, _groups(ids, neighbours))
+        assert result.rejected == (not all(p.homogeneous for p in pairs))
+        assert result == homogeneity_test(group, case, alpha)
+
+        # A reloaded report equals the run's, and hashes, pickles and copies
+        # as it does.
+        try:
+            report = run_pipeline(
+                [s for s, _ in group], RunConfig(alpha=alpha, case=case), mode="homogeneity"
+            )
+        except NumericError:  # a sample with no spread
+            return
+        parsed = parse_report(emit_report(report, "structured"))
+        assert isinstance(report.homogeneity.pairwise, tuple)
+        assert not isinstance(parsed.homogeneity.pairwise, tuple)
+        for reloaded in (parsed, pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed)):
+            assert reloaded == report and report == reloaded and hash(reloaded) == hash(report)
+            hom = reloaded.homogeneity
+            assert hom.rejected == (not all(p.homogeneous for p in hom.pairwise))
+
+    def test_a_group_past_the_pair_budget_builds_no_row(self, monkeypatch):
+        group = fitted([PopulationSample(pid, (1.0, 2.0, 3.0, 4.0)) for pid in "abcde"])
+        rows, build_row = [], CrossTests._build_row
+
+        def counted(self, k, *args):
+            rows.append(k)
+            return build_row(self, k, *args)
+
+        monkeypatch.setattr(CrossTests, "_build_row", counted)
+        monkeypatch.setattr(uncstat.multi, "PAIR_BUDGET", 9)
+        with pytest.raises(ConfigurationError, match="5 populations make 10 pairs"):
+            CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, group)
+        assert rows == []
+        monkeypatch.setattr(uncstat.multi, "PAIR_BUDGET", 10)
+        assert len(CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, group).pairwise()) == 10
+        assert rows == [0, 1, 2, 3, 4]
 
     def test_both_unknown_builds_one_band_per_population(self, toothmarks):
         samples, _ = toothmarks
@@ -586,6 +682,37 @@ class TestHomogeneousGroups:
         pairwise = [make_pairwise("1", "2", True), make_pairwise("2", "1", True)]
         with pytest.raises(ValueError):
             homogeneous_groups(ids, pairwise)
+
+    # The checks of the bitsets against the set of index pairs they replaced:
+    # the same first error, and missing pairs listed sorted.
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_coverage_checks_match_a_set_of_pairs(self, data):
+        ids = data.draw(st.permutations(["a", "b", "c", "d", "e"][: data.draw(st.integers(0, 5))]))
+        n = len(ids)
+        pairs = list(combinations(range(n), 2))
+        drawn = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+        drawn = [(b, a) if data.draw(st.booleans()) else (a, b) for a, b in drawn]
+        pairwise = [make_pairwise(ids[a], ids[b], True) for a, b in drawn]
+
+        seen, expected = set(), None
+        for a, b in drawn:
+            key = tuple(sorted((a, b)))
+            if key in seen:
+                expected = f"duplicate pairwise decision for {ids[a]!r}/{ids[b]!r}"
+                break
+            seen.add(key)
+        else:
+            missing = [tuple(sorted((ids[a], ids[b]))) for a, b in pairs if (a, b) not in seen]
+            missing.sort()
+            if missing:
+                expected = f"pairwise decisions missing for pairs: {missing}"
+        if expected is None:
+            assert len(_graph(ids, pairwise)) == n
+        else:
+            with pytest.raises(ValueError) as raised:
+                _graph(ids, pairwise)
+            assert str(raised.value) == expected
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_moon_moser_graphs(self, k):

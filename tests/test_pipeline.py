@@ -1,6 +1,7 @@
 import csv
 import io
 import copy
+import gc
 import json
 import math
 import operator
@@ -625,7 +626,7 @@ class TestReportSerialisation:
     def test_round_trip_of_overlapping_clusters(self):
         # 24 populations of 40 points, both parameters unknown, in 8 planted
         # clusters 0.1 apart: many bands cut a member's candidates at the
-        # same place, so its row shares outlier tuples.
+        # same place.
         rng = random.Random(7)
         samples = []
         for k in range(24):
@@ -633,13 +634,46 @@ class TestReportSerialisation:
             samples.append(PopulationSample(f"p{k:02d}", [rng.gauss(e, sigma) for _ in range(40)]))
         config = RunConfig(alpha=0.05, group_selection=tuple(s.id for s in samples[::8]))
         report = u.run_pipeline(samples, config)
-        parsed = u.parse_report(u.emit_report(report, "structured"))
+        document = u.emit_report(report, "structured")
+        parsed = u.parse_report(document)
         assert parsed == report
+        assert tuple(parsed.homogeneity.pairwise) == report.homogeneity.pairwise
         pairwise = parsed.homogeneity.pairwise
         assert 0 < sum(p.homogeneous for p in pairwise) < len(pairwise)
-        decisions = [d for p in pairwise for d in (p.decision_i_vs_j, p.decision_j_vs_i)]
-        shared = Counter(id(d.outlier_indices) for d in decisions if d.outlier_indices)
-        assert max(shared.values()) > 1
+
+        # What a reload holds for its pairs: the same document without the
+        # homogeneity stage holds everything else.  A table of every record
+        # held about 350 bytes per pair here.
+        obj = json.loads(document)
+        obj["mode"] = "common"
+        without = json.dumps(obj)
+
+        def held(document):
+            tracemalloc.start()
+            try:
+                kept = u.parse_report(document)
+                return tracemalloc.get_traced_memory()[0], kept
+            finally:
+                tracemalloc.stop()
+
+        assert (held(document)[0] - held(without)[0]) / len(pairwise) < 200
+
+    def test_reload_builds_no_decision_until_its_pairs_are_read(self, toothmarks):
+        samples, config = toothmarks
+        document = u.emit_report(u.run_pipeline(samples, config, mode="homogeneity"), "structured")
+
+        def alive():
+            gc.collect()
+            return sum(type(o) is testing.TestDecision for o in gc.get_objects())
+
+        before = alive()
+        parsed = u.parse_report(document)
+        assert parsed.homogeneity.rejected and len(parsed.homogeneity.groups) == 3
+        assert alive() - before == len(samples)  # the self-tests
+        pairs = tuple(parsed.homogeneity.pairwise)
+        assert alive() - before == len(samples) + 2 * len(pairs)
+        del pairs
+        assert alive() - before == len(samples)
 
     def test_schema_version_is_checked(self, toothmarks_report):
         obj = json.loads(u.emit_report(toothmarks_report, "structured"))
