@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from dataclasses import replace
 from functools import cache
@@ -76,24 +77,27 @@ def _parse_theta0(text: str) -> NormalUncertain:
 
 def _file_key(path: str) -> tuple | None:
     """What identifies the file ``path`` names: its device and inode, or, for
-    a file not made yet, its directory's and its name; None if neither exists.
+    a file not made yet, its directory's and its name; None if ``path`` names
+    a directory, or neither a file nor a place in a directory.
 
     Two stat calls at most, where resolving a path costs one per component.
     """
     try:
         st = os.stat(path)
-        return st.st_dev, st.st_ino
     except OSError:
         head, name = os.path.split(path)
-    try:
-        st = os.stat(head or ".")
-    except OSError:
-        return None
-    return st.st_dev, st.st_ino, name
+        try:
+            st = os.stat(head or ".")
+        except OSError:
+            return None
+        return (st.st_dev, st.st_ino, name) if stat.S_ISDIR(st.st_mode) else None
+    return None if stat.S_ISDIR(st.st_mode) else (st.st_dev, st.st_ino)
 
 
 def _check_paths(args: argparse.Namespace) -> None:
-    """Refuse an output file that is an input or the other output."""
+    """Refuse an output file that is an input or the other output, or that
+    cannot be made: the outputs are written only after the run, so a failed
+    write would leave the report before it behind."""
     named: dict[tuple, str] = {}
     for flag, path in (
         ("--data", args.data),
@@ -102,9 +106,12 @@ def _check_paths(args: argparse.Namespace) -> None:
         ("--plot-data", args.plot_data),
     ):
         key = _file_key(path) if path else None
+        output = flag in ("--report", "--plot-data")
         if key is None:
+            if path and output:
+                raise ConfigurationError(f"{flag}: cannot make a file at {path}")
             continue
-        if key in named and flag in ("--report", "--plot-data"):
+        if key in named and output:
             raise ConfigurationError(f"{flag} and {named[key]} name the same file: {path}")
         named.setdefault(key, flag)
 

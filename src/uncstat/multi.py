@@ -18,11 +18,11 @@ the bands it meets, once, and keeps two cut indices into them per band,
 found by bisection.  So a decision is two cuts and a comparison, and no
 record is built until one is read: :meth:`CrossTests.decide` builds the one
 it is asked for, and :meth:`CrossTests.pairwise` is a read-only sequence
-that builds each pair when it is read.  The table holds at most
-:data:`PAIR_BUDGET` pairs.  Homogeneous groups are enumerated on neighbour
-bitsets by a clique search with a fixed work budget
-(:data:`CLIQUE_BUDGET`); a run builds the bitsets from its records, a reload
-from the table's cuts.
+that builds each pair when it is read, both through one reader that shares
+a row's outlier tuples by cut.  The table holds at most :data:`PAIR_BUDGET`
+pairs.  Homogeneous groups are enumerated on neighbour bitsets by a clique
+search with a fixed work budget (:data:`CLIQUE_BUDGET`); a run builds the
+bitsets from its records, a reload from the table's cuts.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def cross_interval(
 # One row of a CrossTests table: the member's candidates (the values outside
 # the intersection of its bands) as 1-based positions sorted by value, each
 # column's two cuts of them, each column's band, the sample size, the
-# rejection threshold, and the outlier tuples decide has made, by cut.
+# rejection threshold, and the outlier tuples its records share, by cut.
 _Row = namedtuple("_Row", "positions lows highs bands size threshold shared")
 
 # Maps the bytes 0 and 1 to the digits "0" and "1".
@@ -236,13 +236,14 @@ class CrossTests:
     ``bisect_right`` finds at its upper end on.  A row keeps only its
     candidates' positions and two cuts per column, and members with the same
     pins share one list of bands; a column rejects when the cuts leave at
-    least the threshold outside.  No record is built until one is read.
+    least the threshold outside.  No record is built until one is read, and
+    a row keeps the outlier tuples its records share, by cut.
 
     :meth:`decide` finds a member by the identity of its sample and another
-    member by the identity of its fit, and builds their decision from the
-    row; any other pair, a member's own fit included, is counted by the
-    linear scan of :func:`~uncstat.testing.count_outliers`, the reference
-    definition.  Decisions equal ``test_against_interval(pop_i,
+    member by the identity of its fit, and reads their decision as
+    :meth:`pairwise` does; any other pair, a member's own fit included, is
+    counted by the linear scan of :func:`~uncstat.testing.count_outliers`,
+    the reference definition.  Decisions equal ``test_against_interval(pop_i,
     cross_interval(...))``.
 
     A group with more than :data:`PAIR_BUDGET` pairs is a
@@ -332,8 +333,11 @@ class CrossTests:
         j = self._column_of.get(id(fit_j))
         if k is None or j is None or j == k:  # not a member against another member's fit
             return test_against_interval(pop_i, self.band(pop_i, fit_j))
-        # A run decides every pair here; its records share outlier tuples by
-        # row and cut, as the cuts do.
+        return self._decision(k, j)
+
+    def _decision(self, k: int, j: int) -> TestDecision:
+        """Member ``k``'s decision against member ``j``'s fit, the one reader
+        of the table; records of a row share outlier tuples by cut."""
         positions, lows, highs, bands, size, threshold, shared = self._rows[k]
         low, high = lows[j], highs[j]
         if not low and high == len(positions):
@@ -343,18 +347,6 @@ class CrossTests:
             outliers += positions[high:]
             outliers.sort()
             outliers = shared[low, high] = tuple(outliers)
-        return tuple.__new__(
-            TestDecision, (bands[j], outliers, size, threshold, len(outliers) >= threshold)
-        )
-
-    def _decision(self, k: int, j: int) -> TestDecision:
-        """Member ``k``'s decision against member ``j``'s fit, with an outlier
-        tuple of its own."""
-        positions, lows, highs, bands, size, threshold, _ = self._rows[k]
-        low, high = lows[j], highs[j]
-        outliers = ()
-        if low or high < len(positions):
-            outliers = tuple(sorted(positions[:low] + positions[high:]))
         return tuple.__new__(
             TestDecision, (bands[j], outliers, size, threshold, len(outliers) >= threshold)
         )

@@ -731,13 +731,14 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
         matrix = [[""] * len(ordered) for _ in ordered]
         for k, p in enumerate(report.populations):
             matrix[k][k] = interval_text(p.self_test.interval.lower, p.self_test.interval.upper)
-        # One walk over the pairs fills the matrix and measures the columns of
-        # the pair table, whose rows are then made in a second walk.  A
+        # One walk over the pairs fills the matrix and measures the counts of
+        # the pair table, whose rows are then made in a second walk.  Every
+        # pair is listed, so the widest label joins the two longest ids.  A
         # "count/threshold" cell is widest at the largest count of its
         # threshold, so each direction keeps that count per threshold.  The
         # last column needs no width, as _line strips its padding.
         header = ["pair", "outliers i|j", "outliers j|i", "equality"]
-        w0 = len(header[0])
+        w0 = max(len(header[0]), sum(sorted(map(len, ordered))[-2:]) + 1)
         most_ij: dict[int, int] = {}
         most_ji: dict[int, int] = {}
         for i, j, ij, ji, _ in hom.pairwise:
@@ -745,8 +746,6 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
             matrix[a][b] = interval_text(ij.interval.lower, ij.interval.upper)
             matrix[b][a] = interval_text(ji.interval.lower, ji.interval.upper)
             # Comparisons, not max(): this loop runs once per pair.
-            if (width := len(i) + 1 + len(j)) > w0:
-                w0 = width
             if (count := len(ij.outlier_indices)) > most_ij.get(ij.threshold, -1):
                 most_ij[ij.threshold] = count
             if (count := len(ji.outlier_indices)) > most_ji.get(ji.threshold, -1):

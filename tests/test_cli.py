@@ -413,6 +413,28 @@ class TestOutputPaths:
         assert run(argv + ["--plot-data", tmp_path / "." / "out"]) == 2
         assert out.read_text(encoding="utf-8") == "kept"
 
+    @pytest.mark.parametrize(
+        "report, plot",
+        [
+            ("r.json", "missing/p.csv"),
+            ("missing/r.json", "p.csv"),
+            ("r.json", "tm.csv/p.csv"),
+            ("tm.json/r.json", "p.csv"),
+            ("r.json", "dir"),
+            ("dir", "p.csv"),
+        ],
+    )
+    def test_an_output_that_cannot_be_made_is_two(self, study, tmp_path, capsys, report, plot):
+        (tmp_path / "dir").mkdir()
+        argv = ["--data", study[0], "--config", study[1], "--format", "structured",
+                "--report", tmp_path / report, "--plot-data", tmp_path / plot]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        flag = "--plot-data" if report == "r.json" else "--report"
+        assert f"uncstat: error: {flag}: cannot make a file at" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "tm.csv", "tm.json"]
+        assert not any((tmp_path / "dir").iterdir())
+
     def test_distinct_outputs_are_written(self, study, tmp_path):
         argv = ["--data", study[0], "--config", study[1], "--report", tmp_path / "r.txt",
                 "--plot-data", tmp_path / "p.csv"]

@@ -613,6 +613,29 @@ class TestCrossTests:
             homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
         assert calls.calls == comb(len(samples), 2)
 
+    def test_decide_and_pairwise_share_one_reader(self):
+        # Overlapping clusters, so rows have candidates and columns cut them.
+        samples = [
+            PopulationSample(f"p{k}", tuple(k / 2 + x / 4 for x in range(-8, 9))) for k in range(5)
+        ]
+        group = fitted(samples)
+        tests = CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, group)
+
+        def cells(pairs):
+            return [d for pair in pairs for d in pair[2:4]]
+
+        first = cells(tests.pairwise())
+        assert all(d.outlier_indices for d in first)  # none is the shared empty tuple
+        made = [
+            d
+            for (a, fit_a), (b, fit_b) in combinations(group, 2)
+            for d in (tests.decide(a, fit_b), tests.decide(b, fit_a))
+        ]
+        indexed = cells(tests.pairwise()[t] for t in range(-len(tests.pairwise()), 0))
+        for walk in (cells(tests.pairwise()), indexed, made):
+            assert walk == first
+            assert all(d.outlier_indices is e.outlier_indices for d, e in zip(walk, first))
+
     def test_a_sample_outside_the_group_is_scanned(self):
         group = fitted([PopulationSample(pid, (1.0, 2.0, 3.0, 4.0)) for pid in "abcd"])
         case = ParameterCase.BOTH_UNKNOWN
