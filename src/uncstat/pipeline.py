@@ -12,6 +12,7 @@ import io
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
@@ -26,7 +27,6 @@ from .multi import (
     FittedGroup,
     HomogeneityResult,
     ParameterCase,
-    check_case,
     describe_pins,
     _groups,
     homogeneity_test,
@@ -52,7 +52,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 MODES = ("pipeline", "fit", "homogeneity", "common")
 
 _AUTO_COMMON = {
@@ -88,33 +88,21 @@ class RunConfig:
     """Everything a run needs besides the data itself."""
 
     alpha: float = 0.05
-    case: ParameterCase | None = None  # None = resolve from pinned parameters
     populations: tuple[PopulationConfig, ...] = ()
     group_selection: tuple[str, ...] | None = None
-    common_case: CommonCase | None = None  # None = follow the parameter case
     theta0_override: NormalUncertain | None = None
 
     def __post_init__(self) -> None:
         band_quantiles(self.alpha)
         ids = [p.id for p in self.populations]
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             raise ConfigurationError(f"duplicate population ids in config: {dupes}")
         if self.group_selection is not None:
             if not self.group_selection:
                 raise ConfigurationError("group selection must name at least one population")
             if len(set(self.group_selection)) != len(self.group_selection):
                 raise ConfigurationError("group selection repeats a population id")
-
-
-def _enum_from(value: Any, enum_cls: type, what: str) -> Any:
-    if value is None or value == "auto":
-        return None
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(sorted(c.value for c in enum_cls))
-        raise ConfigurationError(f"{what} must be 'auto' or one of: {allowed}; got {value!r}") from None
 
 
 def _number(value: Any, what: str) -> float:
@@ -134,7 +122,7 @@ def config_from_dict(obj: Any) -> RunConfig:
     """Build a :class:`RunConfig` from a parsed key/value tree, strictly."""
     if not isinstance(obj, dict):
         raise ConfigurationError("config root must be a key/value mapping")
-    allowed = {"alpha", "case", "populations", "group_selection", "common_case", "theta0"}
+    allowed = {"alpha", "populations", "group_selection", "theta0"}
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {unknown}")
@@ -174,10 +162,8 @@ def config_from_dict(obj: Any) -> RunConfig:
     try:
         return RunConfig(
             alpha=_number(obj.get("alpha", 0.05), "alpha"),
-            case=_enum_from(obj.get("case"), ParameterCase, "case"),
             populations=tuple(populations),
             group_selection=None if group is None else tuple(group),
-            common_case=_enum_from(obj.get("common_case"), CommonCase, "common_case"),
             theta0_override=theta0,
         )
     except ValueError as exc:
@@ -187,7 +173,6 @@ def config_from_dict(obj: Any) -> RunConfig:
 def config_to_dict(config: RunConfig) -> dict[str, Any]:
     return {
         "alpha": config.alpha,
-        "case": "auto" if config.case is None else config.case.value,
         "populations": [
             {"id": p.id, "known_e": p.known_e, "known_sigma": p.known_sigma}
             for p in config.populations
@@ -195,7 +180,6 @@ def config_to_dict(config: RunConfig) -> dict[str, Any]:
         "group_selection": None
         if config.group_selection is None
         else list(config.group_selection),
-        "common_case": "auto" if config.common_case is None else config.common_case.value,
         "theta0": None
         if config.theta0_override is None
         else {"e": config.theta0_override.e, "sigma": config.theta0_override.sigma},
@@ -212,6 +196,8 @@ def load_config(path: str | Path) -> RunConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise ConfigurationError(f"config holds a number too long to read: {exc}") from None
     except RecursionError:
         raise ConfigurationError("config nests too deeply to read") from None
     return config_from_dict(obj)
@@ -380,18 +366,22 @@ def ingest(
     return samples, config
 
 
-def resolve_case(samples: Sequence[PopulationSample], config: RunConfig) -> ParameterCase:
-    """The case from config, checked against the data, or else the one case
-    whose pins every sample shares."""
-    if config.case is not None:
-        check_case(config.case, samples)
-        return config.case
-    patterns = {s.pins for s in samples}
-    for case, pins in CASE_PINS.items():
-        if patterns == {pins}:
-            return case
+def resolve_case(samples: Sequence[PopulationSample]) -> ParameterCase:
+    """The one case whose pins every sample shares.  Otherwise the error
+    names two populations that pin different parameters, or one whose pins
+    are no case's."""
+    first: dict[tuple[bool, bool], PopulationSample] = {}
+    for s in samples:
+        first.setdefault(s.pins, s)
+    if len(first) == 1:
+        for case, pins in CASE_PINS.items():
+            if pins in first:
+                return case
+    found = [f"population {s.id!r} pins {describe_pins(p)}" for p, s in islice(first.items(), 2)]
+    rule = "the same parameters, one of" if len(found) > 1 else "one of"
     raise ConfigurationError(
-        "cannot infer the parameter case: every population must pin the same parameters, one of: "
+        f"cannot infer the parameter case: {', but '.join(found) or 'no populations'}; "
+        f"every population must pin {rule}: "
         + ", ".join(f"{describe_pins(p)} ({c.value})" for c, p in CASE_PINS.items())
     )
 
@@ -468,7 +458,7 @@ def _run(
     if not samples:
         raise ValueError("at least one population is required")
     alpha = config.alpha
-    case = resolve_case(samples, config)
+    case = resolve_case(samples)
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("population ids must be unique")
@@ -504,10 +494,9 @@ def _run(
                 f"group has a single population ({selected[0]}); the pooled "
                 "test reduces to its self-consistency check"
             )
-        common_case = config.common_case if config.common_case is not None else _AUTO_COMMON[case]
         chosen = set(selected)
         group = [(s, fit) for s, fit in fitted if s.id in chosen]
-        common = common_test(common_case, group, alpha, theta0=config.theta0_override)
+        common = common_test(_AUTO_COMMON[case], group, alpha, theta0=config.theta0_override)
         warnings.extend(common.diagnostics)
 
     return RunReport(
@@ -846,6 +835,8 @@ def parse_report(document: str) -> RunReport:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"report is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise DataFormatError(f"report holds a number too long to read: {exc}") from None
     except RecursionError:
         raise DataFormatError("report nests too deeply to read") from None
     return report_from_dict(obj)

@@ -84,6 +84,13 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"case": "nonsense"}), encoding="utf-8")
         assert run(["--data", data, "--config", cfg]) == 2
 
+    def test_integer_too_long_to_read_is_two(self, field_paths, tmp_path, capsys):
+        data, _ = field_paths
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"alpha": %s}' % ("1" * 5000), encoding="utf-8")
+        assert run(["--data", data, "--config", cfg]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "tree, message",
         [
@@ -110,13 +117,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config is not UTF-8 text" in err and "Traceback" not in err
 
-    def test_case_contradicting_pins_is_two(self, field_paths, tmp_path, capsys):
-        data, _ = field_paths  # toothmarks pins nothing
+    # The pins decide the case and the pooled test's target; configs that
+    # still name either are refused, whatever the value.
+    @pytest.mark.parametrize("key", ["case", "common_case"])
+    def test_case_setting_in_config_is_two(self, field_paths, tmp_path, capsys, key):
+        data, _ = field_paths
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"case": "sigmas-unknown"}), encoding="utf-8")
+        cfg.write_text(json.dumps({key: "auto"}), encoding="utf-8")
         assert run(["--data", data, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "population '1'" in err and "sigmas-unknown" in err and "Traceback" not in err
+        assert f"unknown config keys: ['{key}']" in err and "Traceback" not in err
 
     def test_config_population_without_data_is_two(self, field_paths, tmp_path, capsys):
         data, _ = field_paths
@@ -531,13 +541,11 @@ _RUNS = st.tuples(st.sampled_from(MODES), st.sampled_from(["text", "structured"]
 # A config the fuzzed data can satisfy, for the config trees to start from.
 _CONFIG = {
     "alpha": 0.05,
-    "case": "auto",
     "populations": [
         {"id": "a", "known_e": None, "known_sigma": 0.5},
         {"id": "b", "known_e": None, "known_sigma": 1.0},
     ],
     "group_selection": ["a", "b"],
-    "common_case": "auto",
     "theta0": {"e": 0.0, "sigma": 1.0},
 }
 _DATA = "population,value\n" + "".join(f"a,{v}\nb,{v + 0.25}\n" for v in (0.1, 0.4, 0.9, 1.3))

@@ -560,7 +560,7 @@ class TestCrossTests:
         # as it does.
         try:
             report = run_pipeline(
-                [s for s, _ in group], RunConfig(alpha=alpha, case=case), mode="homogeneity"
+                [s for s, _ in group], RunConfig(alpha=alpha), mode="homogeneity"
             )
         except NumericError:  # a sample with no spread
             return

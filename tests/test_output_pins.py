@@ -6,17 +6,19 @@ workload (few large populations, scales pinned, all of them pooled).
 The text and plot digests were taken before the structured report moved to
 schema 2 and acceptance bands became derived from their source parameters,
 so they guard both the derived endpoints and the text and plot renderers.
-The structured digests were taken when the report moved to schema 6, which
+The structured digests were taken when the report moved to schema 7, which
 stores a run's inputs (mode, config, values) and nothing else, with each
-population's pins only in the config.  Each document they pin was derived
-from the schema 5 document of the same run: the version set to 6 and the
-`homogeneity` key (the stored groups) deleted.  A script built each
+population's pins only in the config, and no setting that the pins decide.
+Each document they pin was derived from the schema 6 document of the same
+run: the version set to 7 and the config keys `case` and `common_case`
+(both always "auto" in the bundled studies) deleted.  A script built each
 expected document that way from the previous code's output, re-serialised
 with the same separators, and compared it byte for byte with the new
 output, for all sixteen bundled documents and the tall-shaped study, before
 the digests were replaced.  It also checked that the previous code's
-documents still matched the previous digests.  They guard every value, pin
-and config field a run stores.
+documents still matched the previous digests.  Schema 6 was pinned the same
+way, from schema 5 with the `homogeneity` key deleted.  They guard every
+value, pin and config field a run stores.
 """
 
 import csv
@@ -70,34 +72,34 @@ PLOT = {
 # study -> mode -> SHA-256 of the structured report
 STRUCTURED = {
     "example1": {
-        "pipeline": "0dd2228d10616dc7be52b0873659a919b4f3d46a26f1b2c6be97041bb41c95db",
-        "fit": "30fb013f24211aaa8198b00fd12db86c56a11f51cd35dd07a5ad77de75d19e71",
-        "homogeneity": "dff76b8372bb661f53216affd4fda3d6dad215478b657da867e9419e8abb689c",
-        "common": "4fd3d34ca6ab41e701186fe80ab3a8c664cc301126f2f8821c536e54d55cd17f",
+        "pipeline": "a90aaeb761f1f7bd1f71b44979fc70dfa25ce0acf9a7c64dc89cf97a76e660f8",
+        "fit": "d591943d9fc1bd9d5e7db10b3904945ab80d52b97eb001ba00ab6c6f1de88ae2",
+        "homogeneity": "470342e2b6086aca2d62dacdf96bd546d99ff7a6edc517dcb55ecd94ba3f2e1d",
+        "common": "987c7ed46ab933b1bceadcd6836c98764370034b064008556427c0194aae59c8",
     },
     "example2": {
-        "pipeline": "ff014cb1ca1613830e89fd527f06f6473d0abfbd097b0e00c7f129fa269171e3",
-        "fit": "953054f723954bc9ed897b7917de400dacc67f8444f1dea1a44b591105aab3d7",
-        "homogeneity": "de92717ba5efc0b62d4527bf44d107d2823722b6d0d8fc8a2c57716b58c379d0",
-        "common": "4b3da1550378237e9a30d38c4052bcc623804434700b64980b6d0fb6c5828cf6",
+        "pipeline": "34f0ac74e033462fd10c8f250557bd51541748ab7d6f926e3e0cb4a28a1f383a",
+        "fit": "bde2c3a2e19a101d3749f65afa82aef1bee7a75531c071adc7e1cc32d20079ed",
+        "homogeneity": "94b14ddfc2933773553319f7383bb492e26b7ca2cb1797c21ab20368ddf4ce19",
+        "common": "9da5419501ad4cc8f4950b7cb38b02da30cc5854d5a3680d1b8ef88528072408",
     },
     "example3": {
-        "pipeline": "301023d6ef5b31489c7aadee415d02cf4b1c17b61739c83bdd4f240bd3e2ec7a",
-        "fit": "02ea4592ef1e507f241558de068b4c3f437f33550e43bbf49749d1dd97962bdf",
-        "homogeneity": "f54f22e8a495b11dcfa75d157176c4628c2abc2323781c6849c49f9a30cd2de5",
-        "common": "03f112748c361285ff48cb4930220b2f1bfdec801350e965333f590c1e4eabc6",
+        "pipeline": "3c601a1d9d4c3c3d39ab8b8869315823a3d41c215e4d9cc08fd6928ee0a7a543",
+        "fit": "2f77945dc022802d388378fb4cc2971851bd1b8441b895bfafec24debb1a1c3b",
+        "homogeneity": "e68e2e43ca921f0ec7f9c6391593b901b94e48b3b325e42979a5454a52dc1aa7",
+        "common": "d2955666a7220a9611a48037f451041ecb15d0a865e7715524d4c3ec67d9119c",
     },
     "toothmarks": {
-        "pipeline": "a9941a2b8bac67f7f08f100b69bc3d655e9167d39138ec862e1aa608c30abdf3",
-        "fit": "67dc2130173ce1f1587cfcb9a50ca6bef3bff04b09aea2475c8c98fe80890859",
-        "homogeneity": "5547769fd8a0026fef8c687ba986be92b18f242f80c2bfc5d3c6bf3c2e29f901",
-        "common": "f0a7adf89bcddde690dbd68bbc0d83cd296d863b46b22862336033f64330fb90",
+        "pipeline": "0434bc7c0d156cca417c8bf1854f87aa4f3e8758d1dd850f9f5e952fbaf18339",
+        "fit": "899be74c1e2c1a2bbcbccbef3c3b6c4218ae79440359dc944a1439c1df0b37cc",
+        "homogeneity": "078e81e399784a40dc22a43503dd7210d3369e64c5f4a409ad8b9c4317223a5a",
+        "common": "78efa6fcf6c008d72cc3acc6e0fe71a7f2c6aca97fcb721937478c4ee32a5da2",
     },
 }
 
 # format -> SHA-256 of the report of tall_shaped_study
 TALL = {
-    "structured": "7f27bdd358d6593790f918fa9aaae384e4e201eb9797027590ff115fe9d9494b",
+    "structured": "2593ee4e9fa2b2b9539886448a89aa46fca422e0ef78a20313949ba8fbc388be",
     "text": "bb6c5dd38cb8302ec7216f98ec0dec1639e25de6974c9d61d2f3b16faf51fb84",
 }
 

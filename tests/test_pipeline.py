@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import uncstat as u
 from uncstat import (
-    CommonCase,
     ConfigurationError,
     DataFormatError,
     NormalUncertain,
@@ -55,13 +54,12 @@ class TestConfig:
     def test_round_trip(self):
         config = RunConfig(
             alpha=0.01,
-            case=ParameterCase.SIGMAS_UNKNOWN,
             populations=(PopulationConfig("a", known_e=1.0), PopulationConfig("b", known_e=2.0)),
             group_selection=("a", "b"),
-            common_case=CommonCase.SIGMA,
             theta0_override=NormalUncertain(0.0, 2.0),
         )
         assert config_from_dict(config_to_dict(config)) == config
+        assert list(config_to_dict(config)) == ["alpha", "populations", "group_selection", "theta0"]
 
     def test_defaults(self):
         config = config_from_dict({})
@@ -80,9 +78,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_dict({"populations": [{"id": "1"}, {"id": "1"}]})
 
-    def test_bad_case_value(self):
-        with pytest.raises(ConfigurationError):
-            config_from_dict({"case": "sideways"})
+    def test_duplicate_ids_are_listed_in_one_pass(self):
+        ids = [str(k) for k in range(100_000)] + ["7", "99999", "7", "123"]
+        with pytest.raises(ConfigurationError) as raised:
+            RunConfig(populations=tuple(PopulationConfig(i) for i in ids))
+        assert str(raised.value) == "duplicate population ids in config: ['123', '7', '99999']"
+
+    # The parameter case and the pooled test's target follow from the pins.
+    @pytest.mark.parametrize("key", ["case", "common_case"])
+    @pytest.mark.parametrize("value", ["auto", "means-unknown", "sideways"])
+    def test_case_settings_are_unknown_keys(self, key, value):
+        with pytest.raises(ConfigurationError, match=rf"unknown config keys: \['{key}'\]"):
+            config_from_dict({key: value})
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigurationError):
@@ -93,6 +100,13 @@ class TestConfig:
         document = '{"populations": [{"id": "1", "known_e": %s}]}' % text
         with pytest.raises(ConfigurationError):
             config_from_dict(json.loads(document))
+
+    def test_integer_too_long_to_read(self, tmp_path):
+        # Past Python's limit on converting digit strings to int, json raises
+        # ValueError; versions without the limit read the number as infinite.
+        path = write(tmp_path, "c.json", '{"alpha": %s}' % ("1" * 5000))
+        with pytest.raises(ConfigurationError):
+            u.load_config(path)
 
     def test_bad_theta0(self):
         with pytest.raises(ConfigurationError):
@@ -347,16 +361,32 @@ class TestResolveCase:
             (example2, ParameterCase.MEANS_UNKNOWN),
             (example3, ParameterCase.BOTH_UNKNOWN),
         ]:
-            samples, config = fixture
-            assert u.resolve_case(samples, config) is expected
+            samples, _ = fixture
+            assert u.resolve_case(samples) is expected
 
     def test_mixed_parameters_rejected(self):
         samples = [
             PopulationSample("1", (1.0, 2.0), known_e=1.5),
             PopulationSample("2", (1.0, 2.0)),
         ]
-        with pytest.raises(ConfigurationError):
-            u.resolve_case(samples, RunConfig())
+        with pytest.raises(
+            ConfigurationError,
+            match="population '1' pins the location, but population '2' pins nothing; "
+            "every population must pin the same parameters, one of: the scale",
+        ):
+            u.resolve_case(samples)
+
+    def test_pins_of_no_case_are_named(self):
+        samples = [
+            PopulationSample(pid, (1.0, 2.0), known_e=1.5, known_sigma=2.0) for pid in ("a", "b")
+        ]
+        with pytest.raises(ConfigurationError) as raised:
+            u.resolve_case(samples)
+        assert str(raised.value) == (
+            "cannot infer the parameter case: population 'a' pins the location and the scale; "
+            "every population must pin one of: the scale (means-unknown), "
+            "the location (sigmas-unknown), nothing (both-unknown)"
+        )
 
     @pytest.mark.parametrize("first", list(PIN_PATTERNS))
     @pytest.mark.parametrize("second", list(PIN_PATTERNS))
@@ -367,15 +397,18 @@ class TestResolveCase:
         ]
         matching = [case for case, pattern in CASE_PATTERN.items() if first == second == pattern]
         if matching:
-            assert u.resolve_case(samples, RunConfig()) is matching[0]
+            assert u.resolve_case(samples) is matching[0]
         else:
             with pytest.raises(ConfigurationError, match="cannot infer"):
-                u.resolve_case(samples, RunConfig())
-
-    def test_explicit_case_must_match_data(self, example1):
-        samples, _ = example1
-        with pytest.raises(ConfigurationError):
-            u.resolve_case(samples, RunConfig(case=ParameterCase.MEANS_UNKNOWN))
+                u.resolve_case(samples)
+        # The inferred case is the only one check_case accepts, so no
+        # configured case could have run where inference does not.
+        for case in ParameterCase:
+            if case in matching:
+                multi.check_case(case, samples)
+            else:
+                with pytest.raises(ConfigurationError):
+                    multi.check_case(case, samples)
 
 
 class TestRunPipeline:
@@ -503,9 +536,7 @@ class TestRunPipeline:
             PopulationSample("bad", (-100.0, 100.0) + spread, known_e=0.0),
             PopulationSample("ok", spread, known_e=0.0),
         ]
-        report = u.run_pipeline(
-            samples, RunConfig(case=ParameterCase.SIGMAS_UNKNOWN), mode="homogeneity"
-        )
+        report = u.run_pipeline(samples, RunConfig(), mode="homogeneity")
         assert any("self-test rejected" in w for w in report.warnings)
         assert report.homogeneity is not None
         assert len(report.homogeneity.pairwise) == 1
@@ -677,11 +708,18 @@ class TestReportSerialisation:
 
     def test_schema_version_is_checked(self, toothmarks_report):
         obj = json.loads(u.emit_report(toothmarks_report, "structured"))
-        assert obj["schema_version"] == 6
-        for version in (1, 2, 3, 4, 5, 99):
+        assert obj["schema_version"] == 7
+        obj["config"].update(case="auto", common_case="auto")  # as schema 6 wrote them
+        for version in (1, 2, 3, 4, 5, 6, 99):
             obj["schema_version"] = version
-            with pytest.raises(DataFormatError, match="schema"):
+            with pytest.raises(DataFormatError, match=f"unsupported report schema version {version};"):
                 u.parse_report(json.dumps(obj))
+
+    def test_integer_too_long_to_read_is_a_format_error(self, toothmarks_report):
+        document = u.emit_report(toothmarks_report, "structured")
+        document = document.replace('"alpha":0.05', '"alpha":' + "1" * 5000)
+        with pytest.raises(DataFormatError):
+            u.parse_report(document)
 
     def test_deep_nesting_is_a_format_error(self):
         with pytest.raises(DataFormatError, match="nests too deeply"):
@@ -693,6 +731,7 @@ class TestReportSerialisation:
         obj = json.loads(document)
         assert list(obj) == ["schema_version", "mode", "config", "populations"]
         assert list(obj["populations"][0]) == ["id", "values"]
+        assert list(obj["config"]) == ["alpha", "populations", "group_selection", "theta0"]
         assert obj["config"]["populations"] == []
 
     @pytest.mark.parametrize(
@@ -811,9 +850,14 @@ class TestReportSerialisation:
                 id="infinite-pooled-band",
             ),
             pytest.param(
-                lambda obj: {**obj, "config": {**obj["config"], "case": "means-unknown"}},
-                "population '1' pins nothing, but in the means-unknown case",
-                id="case-contradicts-pins",
+                lambda obj: {**obj, "config": {**obj["config"], "case": "both-unknown"}},
+                r"unknown config keys: \['case'\]",
+                id="case-in-config",
+            ),
+            pytest.param(
+                lambda obj: {**obj, "config": {**obj["config"], "common_case": "auto"}},
+                r"unknown config keys: \['common_case'\]",
+                id="common-case-in-config",
             ),
             pytest.param(
                 lambda obj: {
@@ -913,9 +957,7 @@ class TestReportSerialisation:
         )
         config = RunConfig(
             alpha=data.draw(st.sampled_from([0.01, 0.05, 0.1, 0.3])),
-            case=case,
             group_selection=group,
-            common_case=data.draw(st.sampled_from(list(CommonCase))),
             theta0_override=theta0,
         )
         report = u.run_pipeline(samples, config, mode=mode)
@@ -1165,9 +1207,7 @@ def reports(draw):
     )
     config = RunConfig(
         alpha=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3])),
-        case=case,
         group_selection=None if group is None else tuple(group),
-        common_case=draw(st.sampled_from([None, *CommonCase])),
         theta0_override=theta0,
     )
     try:
