@@ -17,6 +17,7 @@ from .multi import (
     homogeneity_test,
     homogeneous_groups,
     pairwise_test,
+    resolve_case,
     ufwer,
 )
 from .pipeline import (
@@ -29,7 +30,6 @@ from .pipeline import (
     ingest,
     load_config,
     parse_report,
-    resolve_case,
     run_pipeline,
 )
 from .pooling import (

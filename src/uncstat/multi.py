@@ -3,12 +3,12 @@ homogeneity testing and homogeneous-subgroup discovery.
 
 Homogeneity of ``n`` populations is decided by running every unordered pair
 through a symmetric cross-test: the data of each population is checked
-against the acceptance band built from the other population's fitted
-parameters.  One rejected direction makes the pair heterogeneous, and one
-heterogeneous pair rejects overall homogeneity.  Because the worst-case
-belief degree of a union of independent wrong rejections is the maximum of
-the component levels, all component tests run at the same level as the
-overall test.
+against the acceptance band built from its own pins and the other
+population's fit; those pins alone decide the case (:func:`resolve_case`).
+One rejected direction makes the pair heterogeneous, and one heterogeneous
+pair rejects overall homogeneity.  Because the worst-case belief degree of
+a union of independent wrong rejections is the maximum of the component
+levels, all component tests run at the same level as the overall test.
 
 The pairwise stage shares its work across pairs (:class:`CrossTests`): each
 band is built once per reference distribution, and every ordered pair of a
@@ -35,8 +35,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, compress, repeat, starmap
-from typing import Iterable, Iterator
+from itertools import combinations, compress, islice, repeat, starmap
+from typing import Iterator
 
 from .errors import ConfigurationError, NumericError
 from .testing import (
@@ -56,6 +56,7 @@ from .udist import NormalUncertain, check_level
 __all__ = [
     "ParameterCase",
     "CASE_PINS",
+    "resolve_case",
     "PairwiseDecision",
     "HomogeneityResult",
     "ufwer",
@@ -110,19 +111,24 @@ def describe_pins(pins: tuple[bool, bool]) -> str:
     return " and ".join(n for n, p in zip(("the location", "the scale"), pins) if p) or "nothing"
 
 
-def check_case(case: ParameterCase, samples: Iterable[PopulationSample]) -> None:
-    """Raise ConfigurationError unless every sample pins what ``case`` pins.
-
-    The three cases are homogeneous across populations: pinning a parameter
-    for some populations but not others has no defined cross-test.
-    """
-    pins = CASE_PINS[case]
+def resolve_case(samples: Sequence[PopulationSample]) -> ParameterCase:
+    """The one case whose pins every sample shares.  Otherwise the error
+    names two populations that pin different parameters, or one whose pins
+    are no case's."""
+    first: dict[tuple[bool, bool], PopulationSample] = {}
     for s in samples:
-        if s.pins != pins:
-            raise ConfigurationError(
-                f"population {s.id!r} pins {describe_pins(s.pins)}, but in the "
-                f"{case.value} case every population pins {describe_pins(pins)}"
-            )
+        first.setdefault(s.pins, s)
+    if len(first) == 1:
+        for case, pins in CASE_PINS.items():
+            if pins in first:
+                return case
+    found = [f"population {s.id!r} pins {describe_pins(p)}" for p, s in islice(first.items(), 2)]
+    rule = "the same parameters, one of" if len(found) > 1 else "one of"
+    raise ConfigurationError(
+        f"cannot infer the parameter case: {', but '.join(found) or 'no populations'}; "
+        f"every population must pin {rule}: "
+        + ", ".join(f"{describe_pins(p)} ({c.value})" for c, p in CASE_PINS.items())
+    )
 
 
 class PairwiseDecision(
@@ -174,38 +180,31 @@ def ufwer(alphas: Sequence[float]) -> float:
     return max(check_level(a) for a in alphas)
 
 
-def _pinned(pins: tuple[bool, bool], pop: PopulationSample) -> tuple[float | None, float | None]:
-    """The location and scale of ``pop`` that ``pins`` (a :data:`CASE_PINS`
-    pattern) marks, None for a parameter taken from the other population's fit."""
-    e = pop.known_e if pins[0] else None
-    sigma = pop.known_sigma if pins[1] else None
-    if pins[0] and e is None or pins[1] and sigma is None:
-        raise ConfigurationError(f"population {pop.id!r} lacks a parameter its case pins")
-    return e, sigma
+def _pinned(pop: PopulationSample) -> tuple[float | None, float | None]:
+    """The location and scale ``pop`` pins, None for a parameter taken from
+    the other population's fit.  Raises if it pins both: nothing is tested."""
+    if pop.known_e is not None and pop.known_sigma is not None:
+        raise ConfigurationError(f"population {pop.id!r} pins both parameters; nothing is tested")
+    return pop.known_e, pop.known_sigma
 
 
-def _reference(
-    pins: tuple[bool, bool], pop_i: PopulationSample, fit_j: NormalUncertain
-) -> tuple[float, float]:
-    """Reference ``pop_i``'s data is tested against: the parameters ``pins``
-    marks from ``pop_i``, the others from ``fit_j``."""
-    e, sigma = _pinned(pins, pop_i)
+def _reference(pop_i: PopulationSample, fit_j: NormalUncertain) -> tuple[float, float]:
+    """Reference ``pop_i``'s data is tested against: the parameters ``pop_i``
+    pins, the others from ``fit_j``."""
+    e, sigma = _pinned(pop_i)
     return fit_j.e if e is None else e, fit_j.sigma if sigma is None else sigma
 
 
 def cross_interval(
-    case: ParameterCase,
-    pop_i: PopulationSample,
-    fit_j: NormalUncertain,
-    alpha: float,
+    pop_i: PopulationSample, fit_j: NormalUncertain, alpha: float
 ) -> AcceptanceInterval:
     """Acceptance band for ``pop_i``'s data built from population j's fit.
 
-    The band is centred on the case-dependent composite distribution: the
-    tested parameter comes from ``fit_j`` while any pinned parameter of
-    ``pop_i`` is kept, so only the hypothesised equality is under test.
+    The band is centred on the composite distribution: the parameters
+    ``pop_i`` pins are kept and the others come from ``fit_j``, so only the
+    hypothesised equality is under test.
     """
-    return acceptance_interval(NormalUncertain(*_reference(CASE_PINS[case], pop_i, fit_j)), alpha)
+    return acceptance_interval(NormalUncertain(*_reference(pop_i, fit_j)), alpha)
 
 
 # One row of a CrossTests table: the member's candidates (the values outside
@@ -221,9 +220,11 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 class CrossTests:
     """Cross-test decisions of one group of populations at one level.
 
-    Bands are kept in a table keyed by their reference distribution, so each
-    is built once: in the both-unknown case i's data against j's fit uses
-    j's own band, and ``n`` bands serve all ``n(n-1)`` cross-tests.
+    It carries the level only; each sample's pins decide its reference, as
+    in :func:`cross_interval`.  Bands are kept in a table keyed by their
+    reference distribution, so each is built once: in the both-unknown case
+    i's data against j's fit uses j's own band, and ``n`` bands serve all
+    ``n(n-1)`` cross-tests.
 
     ``group`` holds ``(sample, fit)`` pairs, and every ordered pair of
     members is decided when the object is built, one row per member: its
@@ -248,14 +249,13 @@ class CrossTests:
 
     A group with more than :data:`PAIR_BUDGET` pairs is a
     :class:`~uncstat.errors.ConfigurationError`, raised before any row is
-    built.  A :class:`~uncstat.errors.NumericError` from a member's band is
-    raised again with both populations' ids in front of its message.
+    built, and so is a sample that pins both parameters, as it has nothing
+    to test.  A :class:`~uncstat.errors.NumericError` from a member's band
+    is raised again with both populations' ids in front of its message.
     """
 
-    def __init__(self, case: ParameterCase, alpha: float, group: FittedGroup = ()) -> None:
-        self.case = case
+    def __init__(self, alpha: float, group: FittedGroup = ()) -> None:
         self.alpha = check_level(alpha)
-        self._pins = CASE_PINS[case]
         self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
         self._members = tuple(group)
         n = len(self._members)
@@ -280,7 +280,7 @@ class CrossTests:
         members = self._members
         n = len(members)
         sample = members[k][0]
-        e, sigma = pins = _pinned(self._pins, sample)
+        e, sigma = pins = _pinned(sample)
         columns = by_pins.get(pins)
         if columns is None:
             columns = by_pins[pins] = [None] * n, [-math.inf] * n, [math.inf] * n
@@ -318,7 +318,7 @@ class CrossTests:
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
-        return self._band_at(_reference(self._pins, pop_i, fit_j))
+        return self._band_at(_reference(pop_i, fit_j))
 
     def _band_at(self, key: tuple[float, float]) -> AcceptanceInterval:
         """The band of the reference ``(e, sigma)``, built on first use."""
@@ -441,30 +441,31 @@ def pairwise_test(
 ) -> PairwiseDecision:
     """Symmetric cross-test of a pair: i's data against j's fit and vice versa.
 
-    ``tests`` carries the case and level, and the decisions of a group's
-    members are looked up in its table.  The per-population self-tests are not
-    repeated here; they are run once per population by
-    :func:`~uncstat.testing.fit_and_verify`.
+    ``tests`` carries the level, each sample's pins decide its reference,
+    and the decisions of a group's members are looked up in its table.  The
+    per-population self-tests are not repeated here; they are run once per
+    population by :func:`~uncstat.testing.fit_and_verify`.
     """
     return PairwiseDecision(
         pop_i.id, pop_j.id, tests.decide(pop_i, fit_j), tests.decide(pop_j, fit_i)
     )
 
 
-def homogeneity_test(group: FittedGroup, case: ParameterCase, alpha: float) -> HomogeneityResult:
+def homogeneity_test(group: FittedGroup, alpha: float) -> HomogeneityResult:
     """Test whether the unknown parameters of all populations are equal.
 
     Takes each population with its fit (pinned parameters respected, as
     :func:`~uncstat.testing.fit_and_verify` returns it), cross-tests every
     unordered pair, and reports maximal homogeneous subgroups.  A population
     that failed its own self-test stays in the pairwise stage; callers
-    should surface the failed self-test as a model-adequacy warning.
+    should surface the failed self-test as a model-adequacy warning.  The
+    case is the one :func:`resolve_case` derives from the pins.
     """
     if len(group) < 2:
         raise ValueError("homogeneity requires at least two populations")
-    check_case(case, (s for s, _ in group))
+    case = resolve_case([s for s, _ in group])
 
-    tests = CrossTests(case, alpha, group)  # validates the level
+    tests = CrossTests(alpha, group)  # validates the level
     pairwise = tuple(
         pairwise_test(tests, a, b, fit_a, fit_b)
         for (a, fit_a), (b, fit_b) in combinations(group, 2)

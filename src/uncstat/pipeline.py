@@ -22,14 +22,13 @@ from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .multi import (
-    CASE_PINS,
     CrossTests,
     FittedGroup,
     HomogeneityResult,
     ParameterCase,
-    describe_pins,
     _groups,
     homogeneity_test,
+    resolve_case,
 )
 from .pooling import CommonCase, CommonTestResult, common_test
 from .testing import PopulationSample, TestDecision, band_quantiles, fit_and_verify
@@ -366,26 +365,6 @@ def ingest(
     return samples, config
 
 
-def resolve_case(samples: Sequence[PopulationSample]) -> ParameterCase:
-    """The one case whose pins every sample shares.  Otherwise the error
-    names two populations that pin different parameters, or one whose pins
-    are no case's."""
-    first: dict[tuple[bool, bool], PopulationSample] = {}
-    for s in samples:
-        first.setdefault(s.pins, s)
-    if len(first) == 1:
-        for case, pins in CASE_PINS.items():
-            if pins in first:
-                return case
-    found = [f"population {s.id!r} pins {describe_pins(p)}" for p, s in islice(first.items(), 2)]
-    rule = "the same parameters, one of" if len(found) > 1 else "one of"
-    raise ConfigurationError(
-        f"cannot infer the parameter case: {', but '.join(found) or 'no populations'}; "
-        f"every population must pin {rule}: "
-        + ", ".join(f"{describe_pins(p)} ({c.value})" for c, p in CASE_PINS.items())
-    )
-
-
 # --------------------------------------------------------------------------
 # the report
 
@@ -446,7 +425,7 @@ def _run(
     samples: Sequence[PopulationSample],
     config: RunConfig,
     mode: str,
-    test_homogeneity: Callable[[FittedGroup, ParameterCase, float], HomogeneityResult],
+    test_homogeneity: Callable[[FittedGroup, float], HomogeneityResult],
 ) -> RunReport:
     """The stages of :func:`run_pipeline`, shared with :func:`report_from_dict`.
 
@@ -481,7 +460,7 @@ def _run(
     homogeneity: HomogeneityResult | None = None
     if mode in ("pipeline", "homogeneity"):
         if len(samples) >= 2:
-            homogeneity = test_homogeneity(fitted, case, alpha)
+            homogeneity = test_homogeneity(fitted, alpha)
         else:
             warnings.append("only one population: homogeneity test skipped")
 
@@ -626,9 +605,7 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
     return report
 
 
-def _rederive_homogeneity(
-    group: FittedGroup, case: ParameterCase, alpha: float
-) -> HomogeneityResult:
+def _rederive_homogeneity(group: FittedGroup, alpha: float) -> HomogeneityResult:
     """What :func:`homogeneity_test` returns for ``group``, for a reload.
 
     The pairs are the table-backed sequence of :meth:`CrossTests.pairwise`,
@@ -636,7 +613,8 @@ def _rederive_homogeneity(
     reload builds no record.  The stage calls neither ``pairwise_test`` nor
     ``homogeneity_test``, because calls to those two trace the work of a run.
     """
-    tests = CrossTests(case, alpha, group)
+    case = resolve_case([s for s, _ in group])
+    tests = CrossTests(alpha, group)
     groups = _groups([s.id for s, _ in group], tests._neighbours())
     return HomogeneityResult(case=case, alpha=alpha, pairwise=tests.pairwise(), groups=groups)
 
@@ -866,7 +844,7 @@ def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
 
     Rows are written as they are made, so memory does not grow with them.
     """
-    bands = CrossTests(report.case, report.alpha)
+    bands = CrossTests(report.alpha)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("population,index,value,interval_source,lower,upper,is_outlier\n")
         fields = [_csv_field(p.sample.id) for p in report.populations]

@@ -17,7 +17,6 @@ from uncstat import (
     CommonCase,
     CrossTests,
     NormalUncertain,
-    ParameterCase,
     PopulationSample,
     cdf,
     common_test,
@@ -91,7 +90,7 @@ def test_criterion_2_example1_interval_matrix(example1, example1_report):
         published_sigma = {"1": 1.420, "2": 1.348, "3": 1.434}
         for (i, j), (lo, hi) in EXAMPLE1_MATRIX.items():
             fit_j = NormalUncertain(0.0, published_sigma[j])
-            band = cross_interval(ParameterCase.SIGMAS_UNKNOWN, by_id[i], fit_j, 0.05)
+            band = cross_interval(by_id[i], fit_j, 0.05)
             assert band.lower == pytest.approx(lo, abs=0.002), (i, j)
             assert band.upper == pytest.approx(hi, abs=0.002), (i, j)
         # outlier sets from the data-driven pipeline run
@@ -268,17 +267,17 @@ def test_criterion_8_property_suites():
                 pops.append(PopulationSample(f"p{k + 1}", tuple(v / 1000.0 for v in vals)))
             fits = {p.id: fit_moments(p.values) for p in pops}
             a, b = rng.sample(pops, 2)
-            tests = lambda: CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05)
+            tests = lambda: CrossTests(0.05)
             fwd = pairwise_test(tests(), a, b, fits[a.id], fits[b.id])
             rev = pairwise_test(tests(), b, a, fits[b.id], fits[a.id])
             assert fwd.homogeneous == rev.homogeneous
             assert fwd.decision_i_vs_j == rev.decision_j_vs_i
 
             group = lambda order: [(p, fits[p.id]) for p in order]
-            base = homogeneity_test(group(pops), ParameterCase.BOTH_UNKNOWN, 0.05)
+            base = homogeneity_test(group(pops), 0.05)
             shuffled_pops = pops[:]
             rng.shuffle(shuffled_pops)
-            shuffled = homogeneity_test(group(shuffled_pops), ParameterCase.BOTH_UNKNOWN, 0.05)
+            shuffled = homogeneity_test(group(shuffled_pops), 0.05)
             assert shuffled.rejected == base.rejected
             assert shuffled.groups == base.groups
 

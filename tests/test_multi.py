@@ -40,7 +40,7 @@ from uncstat.multi import (
     _graph,
     _groups,
     _maximal_cliques,
-    check_case,
+    resolve_case,
 )
 
 
@@ -120,68 +120,83 @@ class TestUfwer:
 class TestCrossInterval:
     def test_scales_unknown_uses_own_location(self, example1):
         samples, _ = example1
-        band = cross_interval(
-            ParameterCase.SIGMAS_UNKNOWN, samples[1], NormalUncertain(9.9, 1.420), 0.05
-        )
+        band = cross_interval(samples[1], NormalUncertain(9.9, 1.420), 0.05)
         assert band.lower == pytest.approx(2.132, abs=1e-3)
         assert band.upper == pytest.approx(7.868, abs=1e-3)
 
     def test_locations_unknown_uses_own_scale(self, example2):
         samples, _ = example2
-        band = cross_interval(
-            ParameterCase.MEANS_UNKNOWN, samples[2], NormalUncertain(4.948, 9.9), 0.05
-        )
+        band = cross_interval(samples[2], NormalUncertain(4.948, 9.9), 0.05)
         assert band.lower == pytest.approx(0.909, abs=1e-3)
         assert band.upper == pytest.approx(8.988, abs=1e-3)
 
     def test_both_unknown_ignores_own_parameters(self, toothmarks):
         samples, _ = toothmarks
         fit = NormalUncertain(2.6, 0.076)
-        band = cross_interval(ParameterCase.BOTH_UNKNOWN, samples[0], fit, 0.05)
+        band = cross_interval(samples[0], fit, 0.05)
         assert band == acceptance_interval(fit, 0.05)
 
-    def test_missing_required_parameter(self, toothmarks):
-        samples, _ = toothmarks
-        fit = NormalUncertain(2.6, 0.076)
-        with pytest.raises(ConfigurationError):
-            cross_interval(ParameterCase.MEANS_UNKNOWN, samples[0], fit, 0.05)
-        with pytest.raises(ConfigurationError):
-            cross_interval(ParameterCase.SIGMAS_UNKNOWN, samples[0], fit, 0.05)
+    # A sample that pins both parameters has nothing under test, whichever
+    # way its cross-test is asked for.
+    @pytest.mark.parametrize(
+        "entry", ["cross_interval", "band", "pairwise_test", "group", "group of one"]
+    )
+    def test_a_sample_that_pins_both_parameters_is_refused(self, entry):
+        pinned = PopulationSample("both-pinned", (1.0, 2.0, 4.0), **PIN_PATTERNS["both"])
+        free = PopulationSample("free", (1.5, 2.5, 3.0))
+        fit = NormalUncertain(-3.0, 0.25)
+        calls = {
+            "cross_interval": lambda: cross_interval(pinned, fit, 0.05),
+            "band": lambda: CrossTests(0.05).band(pinned, fit),
+            "pairwise_test": lambda: pairwise_test(CrossTests(0.05), free, pinned, fit, fit),
+            "group": lambda: CrossTests(0.05, [(free, fit), (pinned, fit)]),
+            "group of one": lambda: CrossTests(0.05, [(pinned, fit)]),
+        }
+        with pytest.raises(ConfigurationError) as raised:
+            calls[entry]()
+        assert str(raised.value) == "population 'both-pinned' pins both parameters; nothing is tested"
 
 
 class TestCaseTable:
-    @pytest.mark.parametrize("pattern", list(PIN_PATTERNS))
-    @pytest.mark.parametrize("case", list(ParameterCase))
-    def test_check_case_rejects_exactly_the_other_patterns(self, case, pattern):
-        matching = PopulationSample("m", (1.0, 2.0, 4.0), **PIN_PATTERNS[CASE_PATTERN[case]])
-        sample = PopulationSample("s", (1.0, 2.0, 4.0), **PIN_PATTERNS[pattern])
-        if pattern == CASE_PATTERN[case]:
-            check_case(case, [matching, sample])
+    # homogeneity_test takes its case from the pins, so pins that differ,
+    # or pins of no case, are resolve_case's error.
+    @pytest.mark.parametrize("second", list(PIN_PATTERNS))
+    @pytest.mark.parametrize("first", list(PIN_PATTERNS))
+    def test_homogeneity_test_refuses_mixed_pins(self, first, second):
+        fit = NormalUncertain(2.0, 1.0)
+        group = [
+            (PopulationSample(pid, (1.0, 2.0, 4.0), **PIN_PATTERNS[pattern]), fit)
+            for pid, pattern in (("m", first), ("s", second))
+        ]
+        samples = [s for s, _ in group]
+        if first == second != "both":
+            result = homogeneity_test(group, 0.05)
+            assert result.case is resolve_case(samples)
+            assert CASE_PATTERN[result.case] == first
             return
-        with pytest.raises(ConfigurationError, match="population 's'") as raised:
-            check_case(case, [matching, sample])
-        assert case.value in str(raised.value)
+        with pytest.raises(ConfigurationError, match="cannot infer the parameter case") as raised:
+            homogeneity_test(group, 0.05)
+        with pytest.raises(ConfigurationError) as expected:
+            resolve_case(samples)
+        assert str(raised.value) == str(expected.value)
+        if first != second:
+            assert "population 'm'" in str(raised.value)
+            assert "population 's'" in str(raised.value)
 
-    # The reference of a cross-test, written out case by case.
+    # The reference of a cross-test, written out pin pattern by pin pattern.
     REFERENCE = {
-        ParameterCase.MEANS_UNKNOWN: lambda pop, fit: (fit.e, pop.known_sigma),
-        ParameterCase.SIGMAS_UNKNOWN: lambda pop, fit: (pop.known_e, fit.sigma),
-        ParameterCase.BOTH_UNKNOWN: lambda pop, fit: (fit.e, fit.sigma),
+        "scale": lambda pop, fit: (fit.e, pop.known_sigma),
+        "location": lambda pop, fit: (pop.known_e, fit.sigma),
+        "none": lambda pop, fit: (fit.e, fit.sigma),
     }
 
-    @pytest.mark.parametrize("pattern", list(PIN_PATTERNS))
-    @pytest.mark.parametrize("case", list(ParameterCase))
-    def test_cross_interval_is_the_composite_reference(self, case, pattern):
+    @pytest.mark.parametrize("pattern", list(REFERENCE))
+    def test_cross_interval_is_the_composite_reference(self, pattern):
         pop = PopulationSample("p", (1.0, 2.0, 4.0), **PIN_PATTERNS[pattern])
         fit = NormalUncertain(-3.0, 0.25)
-        e, sigma = self.REFERENCE[case](pop, fit)
-        if e is None or sigma is None:
-            with pytest.raises(ConfigurationError, match="population 'p'"):
-                cross_interval(case, pop, fit, 0.05)
-            return
-        band = acceptance_interval(NormalUncertain(e, sigma), 0.05)
-        assert cross_interval(case, pop, fit, 0.05) == band
-        assert CrossTests(case, 0.05).band(pop, fit) == band
+        band = acceptance_interval(NormalUncertain(*self.REFERENCE[pattern](pop, fit)), 0.05)
+        assert cross_interval(pop, fit, 0.05) == band
+        assert CrossTests(0.05).band(pop, fit) == band
 
 
 class TestPairwiseTest:
@@ -189,7 +204,7 @@ class TestPairwiseTest:
         samples, _ = example2
         fits = [fit_moments(s.values, s.known_e, s.known_sigma) for s in samples]
         pair = pairwise_test(
-            CrossTests(ParameterCase.MEANS_UNKNOWN, 0.05), samples[0], samples[1], fits[0], fits[1]
+            CrossTests(0.05), samples[0], samples[1], fits[0], fits[1]
         )
         assert pair.decision_i_vs_j.interval.lower == pytest.approx(3.232, abs=2e-3)
         assert pair.decision_i_vs_j.interval.upper == pytest.approx(7.271, abs=2e-3)
@@ -202,7 +217,7 @@ class TestPairwiseTest:
         samples, _ = example1
         fits = [fit_moments(s.values, s.known_e, s.known_sigma) for s in samples]
         pair = pairwise_test(
-            CrossTests(ParameterCase.SIGMAS_UNKNOWN, 0.05), samples[1], samples[2], fits[1], fits[2]
+            CrossTests(0.05), samples[1], samples[2], fits[1], fits[2]
         )
         assert pair.decision_i_vs_j.outlier_count == 2
         assert pair.decision_i_vs_j.threshold == 3
@@ -214,7 +229,7 @@ class TestPairwiseTest:
         samples, _ = toothmarks
         s = samples[0]
         fit = fit_moments(s.values)
-        pair = pairwise_test(CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05), s, s, fit, fit)
+        pair = pairwise_test(CrossTests(0.05), s, s, fit, fit)
         self_ok = not single_test(s, fit, 0.05).rejected
         assert pair.homogeneous == self_ok
 
@@ -227,7 +242,7 @@ class TestPairwiseTest:
         a = PopulationSample("a", a_vals)
         b = PopulationSample("b", b_vals)
         fa, fb = fit_moments(a.values), fit_moments(b.values)
-        tests = lambda: CrossTests(ParameterCase.BOTH_UNKNOWN, alpha)
+        tests = lambda: CrossTests(alpha)
         fwd = pairwise_test(tests(), a, b, fa, fb)
         rev = pairwise_test(tests(), b, a, fb, fa)
         assert fwd.decision_i_vs_j == rev.decision_j_vs_i
@@ -239,7 +254,7 @@ class TestHomogeneityTest:
     def test_example1(self, example1):
         samples, _ = example1
         group = fitted(samples)
-        result = homogeneity_test(group, ParameterCase.SIGMAS_UNKNOWN, 0.05)
+        result = homogeneity_test(group, 0.05)
         assert result.alpha == 0.05
         sigmas = [fit.sigma for _, fit in group]
         assert sigmas == pytest.approx([1.420, 1.348, 1.434], abs=5e-3)
@@ -249,7 +264,7 @@ class TestHomogeneityTest:
     def test_example2(self, example2):
         samples, _ = example2
         group = fitted(samples)
-        result = homogeneity_test(group, ParameterCase.MEANS_UNKNOWN, 0.05)
+        result = homogeneity_test(group, 0.05)
         means = [fit.e for _, fit in group]
         assert means == pytest.approx([4.948, 5.251, 5.082], abs=2e-3)
         assert result.rejected
@@ -257,7 +272,7 @@ class TestHomogeneityTest:
 
     def test_field_study(self, toothmarks):
         samples, _ = toothmarks
-        result = homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
+        result = homogeneity_test(fitted(samples), 0.05)
         assert result.rejected
         assert result.groups == (
             frozenset({"3", "4", "5", "6"}),
@@ -269,14 +284,7 @@ class TestHomogeneityTest:
     def test_requires_two_populations(self, toothmarks):
         samples, _ = toothmarks
         with pytest.raises(ValueError):
-            homogeneity_test(fitted(samples[:1]), ParameterCase.BOTH_UNKNOWN, 0.05)
-
-    def test_rejects_mismatched_case(self, example1):
-        samples, _ = example1  # locations pinned
-        with pytest.raises(ConfigurationError):
-            homogeneity_test(fitted(samples), ParameterCase.MEANS_UNKNOWN, 0.05)
-        with pytest.raises(ConfigurationError):
-            homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
+            homogeneity_test(fitted(samples[:1]), 0.05)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -288,8 +296,8 @@ class TestHomogeneityTest:
             pops.append(PopulationSample(f"p{k + 1}", vals))
         perm = data.draw(st.permutations(range(n)))
         group = fitted(pops)
-        base = homogeneity_test(group, ParameterCase.BOTH_UNKNOWN, 0.05)
-        shuffled = homogeneity_test([group[k] for k in perm], ParameterCase.BOTH_UNKNOWN, 0.05)
+        base = homogeneity_test(group, 0.05)
+        shuffled = homogeneity_test([group[k] for k in perm], 0.05)
 
         assert base.rejected == shuffled.rejected
         assert base.groups == shuffled.groups
@@ -330,7 +338,7 @@ class TestCrossTests:
         group = []
         for k, fit in enumerate(fits):
             probe = PopulationSample(f"p{k}", (0.0,), **cls.PINNED[case](k))
-            bands = [cross_interval(case, probe, f, alpha) for m, f in enumerate(fits) if m != k]
+            bands = [cross_interval(probe, f, alpha) for m, f in enumerate(fits) if m != k]
             ends = [x for b in bands for x in (b.lower, b.upper)]
             grid = st.integers(-30, 30).map(lambda x: x / 10)
             values = data.draw(st.lists(grid | st.sampled_from(ends), min_size=1, max_size=60))
@@ -338,18 +346,18 @@ class TestCrossTests:
         return group
 
     @staticmethod
-    def intersection(case, alpha, group, k):
+    def intersection(alpha, group, k):
         """``[lo, hi]`` of the bands member ``k`` meets, by the definition."""
         sample = group[k][0]
-        bands = [cross_interval(case, sample, f, alpha) for m, (_, f) in enumerate(group) if m != k]
+        bands = [cross_interval(sample, f, alpha) for m, (_, f) in enumerate(group) if m != k]
         return max(b.lower for b in bands), min(b.upper for b in bands)
 
     @staticmethod
-    def assert_matches_the_definition(group, case, alpha):
+    def assert_matches_the_definition(group, alpha):
         scans = Counting(uncstat.testing.count_outliers)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncstat.testing, "count_outliers", scans)
-            result = homogeneity_test(group, case, alpha)
+            result = homogeneity_test(group, alpha)
         assert scans.calls == 0  # every member is counted over its candidates
 
         pairs = list(combinations(group, 2))
@@ -357,10 +365,10 @@ class TestCrossTests:
         for pair, ((a, fit_a), (b, fit_b)) in zip(result.pairwise, pairs):
             assert (pair.i, pair.j) == (a.id, b.id)
             assert pair.decision_i_vs_j == uncstat.testing.test_against_interval(
-                a, cross_interval(case, a, fit_b, alpha)
+                a, cross_interval(a, fit_b, alpha)
             )
             assert pair.decision_j_vs_i == uncstat.testing.test_against_interval(
-                b, cross_interval(case, b, fit_a, alpha)
+                b, cross_interval(b, fit_a, alpha)
             )
 
     @pytest.mark.parametrize("case", list(ParameterCase))
@@ -372,9 +380,7 @@ class TestCrossTests:
         # Locations 0.1 apart give overlapping bands, 10 apart disjoint ones.
         spread = data.draw(st.sampled_from([0.1, 1.0, 10.0]))
         locations = [data.draw(st.integers(-3, 3)) * spread for _ in range(n)]
-        self.assert_matches_the_definition(
-            self.draw_group(data, case, alpha, locations), case, alpha
-        )
+        self.assert_matches_the_definition(self.draw_group(data, case, alpha, locations), alpha)
 
     # In the sigmas-unknown case every band a sample meets is centred on its
     # pinned location, so the bands nest and their intersection is never empty.
@@ -386,9 +392,9 @@ class TestCrossTests:
         n = data.draw(st.integers(3, 9))
         group = self.draw_group(data, case, alpha, [20.0 * k for k in range(n)])
         for k in range(n):
-            lo, hi = self.intersection(case, alpha, group, k)
+            lo, hi = self.intersection(alpha, group, k)
             assert lo > hi
-        self.assert_matches_the_definition(group, case, alpha)
+        self.assert_matches_the_definition(group, alpha)
 
     @pytest.mark.parametrize("case", list(ParameterCase))
     @given(data=st.data())
@@ -398,7 +404,7 @@ class TestCrossTests:
         n = data.draw(st.integers(2, 6))
         locations = [data.draw(st.integers(-3, 3)) / 2 for _ in range(n)]
         group = self.draw_group(data, case, alpha, locations)
-        tests = CrossTests(case, alpha, group)
+        tests = CrossTests(alpha, group)
         k = data.draw(st.integers(0, n - 1))
         sample = group[k][0]
         far = NormalUncertain(10.0, 0.05)  # narrower than every member band, or beyond them
@@ -407,7 +413,7 @@ class TestCrossTests:
         )
         # A member's own fit is not another member's fit either.
         for foreign in (far, drawn, group[k][1]):
-            band = cross_interval(case, sample, foreign, alpha)
+            band = cross_interval(sample, foreign, alpha)
             scans = Counting(uncstat.testing.count_outliers)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(uncstat.testing, "count_outliers", scans)
@@ -416,15 +422,15 @@ class TestCrossTests:
             assert decision == uncstat.testing.test_against_interval(sample, band)
 
     @staticmethod
-    def assert_table_matches_the_definition(group, case, alpha):
+    def assert_table_matches_the_definition(group, alpha):
         """``pairwise()`` and ``decide`` on every (member sample, member fit)
         pair equal the scan of the definition; returns the table."""
 
         def definition(sample, fit):
-            band = cross_interval(case, sample, fit, alpha)
+            band = cross_interval(sample, fit, alpha)
             return uncstat.testing.test_against_interval(sample, band)
 
-        tests = CrossTests(case, alpha, group)
+        tests = CrossTests(alpha, group)
         assert tests.pairwise() == tuple(
             PairwiseDecision(a.id, b.id, definition(a, fit_b), definition(b, fit_a))
             for (a, fit_a), (b, fit_b) in combinations(group, 2)
@@ -445,8 +451,8 @@ class TestCrossTests:
         n = data.draw(st.integers(2, 6))
         locations = [data.draw(st.integers(-3, 3)) / 10 for _ in range(n)]
         group = self.draw_group(data, case, alpha, locations)
-        tests = CrossTests(case, alpha, group)
-        for pairs in (tests.pairwise(), homogeneity_test(group, case, alpha).pairwise):
+        tests = CrossTests(alpha, group)
+        for pairs in (tests.pairwise(), homogeneity_test(group, alpha).pairwise):
             for pair in pairs:
                 decisions = [
                     TestDecision(d.interval, d.outlier_indices, d.sample_size) for d in pair[2:4]
@@ -471,8 +477,8 @@ class TestCrossTests:
         group = self.draw_group(data, case, alpha, locations)
         a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         group[b] = (group[b][0], group[a][1])
-        tests = self.assert_table_matches_the_definition(group, case, alpha)
-        assert tests.pairwise() == homogeneity_test(group, case, alpha).pairwise
+        tests = self.assert_table_matches_the_definition(group, alpha)
+        assert tests.pairwise() == homogeneity_test(group, alpha).pairwise
 
     @pytest.mark.parametrize("case", list(ParameterCase))
     @given(data=st.data())
@@ -486,14 +492,14 @@ class TestCrossTests:
         b = data.draw(st.integers(0, n))
         e, sigma = data.draw(st.integers(-3, 3)) / 10, data.draw(st.integers(1, 20)) / 10
         group.insert(b, (group[a][0], NormalUncertain(e, sigma)))
-        tests = self.assert_table_matches_the_definition(group, case, alpha)
+        tests = self.assert_table_matches_the_definition(group, alpha)
         # The pairs homogeneity_test decides; the repeated id then fails its grouping.
         assert tests.pairwise() == tuple(
             pairwise_test(tests, x, y, fit_x, fit_y)
             for (x, fit_x), (y, fit_y) in combinations(group, 2)
         )
         with pytest.raises(ValueError, match="ids must be unique"):
-            homogeneity_test(group, case, alpha)
+            homogeneity_test(group, alpha)
 
     @pytest.mark.parametrize("case", list(ParameterCase))
     @given(data=st.data())
@@ -501,9 +507,28 @@ class TestCrossTests:
     def test_a_group_of_one(self, case, data):
         sample = PopulationSample("p0", data.draw(grid_values(1, 30)), **self.PINNED[case](0))
         group = [(sample, NormalUncertain(0.0, data.draw(st.integers(1, 20)) / 10))]
-        assert self.assert_table_matches_the_definition(group, case, 0.05).pairwise() == ()
+        assert self.assert_table_matches_the_definition(group, 0.05).pairwise() == ()
         with pytest.raises(ValueError, match="at least two"):
-            homogeneity_test(group, case, 0.05)
+            homogeneity_test(group, 0.05)
+
+    # Each row reads its own sample's pins, so a table may mix pin patterns;
+    # homogeneity_test alone asks that they agree.
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_each_row_reads_its_own_pins(self, data):
+        alpha = data.draw(st.sampled_from([0.05, 0.2]))
+        n = data.draw(st.integers(2, 6))
+        locations = [data.draw(st.integers(-3, 3)) / 10 for _ in range(n)]
+        group = self.draw_group(data, ParameterCase.BOTH_UNKNOWN, alpha, locations)
+        cases = [data.draw(st.sampled_from(list(ParameterCase))) for _ in range(n)]
+        group = [
+            (PopulationSample(s.id, s.values, **self.PINNED[case](k)), fit)
+            for k, ((s, fit), case) in enumerate(zip(group, cases))
+        ]
+        self.assert_table_matches_the_definition(group, alpha)
+        if len(set(cases)) > 1:
+            with pytest.raises(ConfigurationError, match="cannot infer the parameter case"):
+                homogeneity_test(group, alpha)
 
     # Ties, values equal to a band's ends, repeated fits, and groups 20 apart
     # whose rows meet bands that share no point (not in the sigmas-unknown
@@ -525,10 +550,10 @@ class TestCrossTests:
 
         def definition(sample, fit):
             return uncstat.testing.test_against_interval(
-                sample, cross_interval(case, sample, fit, alpha)
+                sample, cross_interval(sample, fit, alpha)
             )
 
-        tests = CrossTests(case, alpha, group)
+        tests = CrossTests(alpha, group)
         pairs = tests.pairwise()
         expected = tuple(
             PairwiseDecision(a.id, b.id, definition(a, fit_b), definition(b, fit_a))
@@ -554,7 +579,7 @@ class TestCrossTests:
         assert neighbours == _graph(ids, tuple(pairs))
         result = HomogeneityResult(case, alpha, pairs, _groups(ids, neighbours))
         assert result.rejected == (not all(p.homogeneous for p in pairs))
-        assert result == homogeneity_test(group, case, alpha)
+        assert result == homogeneity_test(group, alpha)
 
         # A reloaded report equals the run's, and hashes, pickles and copies
         # as it does.
@@ -583,10 +608,10 @@ class TestCrossTests:
         monkeypatch.setattr(CrossTests, "_build_row", counted)
         monkeypatch.setattr(uncstat.multi, "PAIR_BUDGET", 9)
         with pytest.raises(ConfigurationError, match="5 populations make 10 pairs"):
-            CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, group)
+            CrossTests(0.05, group)
         assert rows == []
         monkeypatch.setattr(uncstat.multi, "PAIR_BUDGET", 10)
-        assert len(CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, group).pairwise()) == 10
+        assert len(CrossTests(0.05, group).pairwise()) == 10
         assert rows == [0, 1, 2, 3, 4]
 
     def test_both_unknown_builds_one_band_per_population(self, toothmarks):
@@ -594,15 +619,15 @@ class TestCrossTests:
         builds = Counting(uncstat.multi.acceptance_interval)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncstat.multi, "acceptance_interval", builds)
-            homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
+            homogeneity_test(fitted(samples), 0.05)
         assert builds.calls == len(samples)
 
     def test_band_equals_cross_interval(self, example2):
         samples, _ = example2
-        tests = CrossTests(ParameterCase.MEANS_UNKNOWN, 0.05)
+        tests = CrossTests(0.05)
         fit = NormalUncertain(4.948, 9.9)
         band = tests.band(samples[2], fit)
-        assert band == cross_interval(ParameterCase.MEANS_UNKNOWN, samples[2], fit, 0.05)
+        assert band == cross_interval(samples[2], fit, 0.05)
         assert tests.band(samples[2], fit) is band
 
     def test_homogeneity_calls_pairwise_test_once_per_pair(self, toothmarks):
@@ -610,7 +635,7 @@ class TestCrossTests:
         calls = Counting(uncstat.multi.pairwise_test)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncstat.multi, "pairwise_test", calls)
-            homogeneity_test(fitted(samples), ParameterCase.BOTH_UNKNOWN, 0.05)
+            homogeneity_test(fitted(samples), 0.05)
         assert calls.calls == comb(len(samples), 2)
 
     def test_decide_and_pairwise_share_one_reader(self):
@@ -619,7 +644,7 @@ class TestCrossTests:
             PopulationSample(f"p{k}", tuple(k / 2 + x / 4 for x in range(-8, 9))) for k in range(5)
         ]
         group = fitted(samples)
-        tests = CrossTests(ParameterCase.BOTH_UNKNOWN, 0.05, group)
+        tests = CrossTests(0.05, group)
 
         def cells(pairs):
             return [d for pair in pairs for d in pair[2:4]]
@@ -638,8 +663,7 @@ class TestCrossTests:
 
     def test_a_sample_outside_the_group_is_scanned(self):
         group = fitted([PopulationSample(pid, (1.0, 2.0, 3.0, 4.0)) for pid in "abcd"])
-        case = ParameterCase.BOTH_UNKNOWN
-        tests = CrossTests(case, 0.05, group)
+        tests = CrossTests(0.05, group)
         stranger = PopulationSample("a", (5.0, 9.0, 7.0, 8.0))  # a's id, other values
         fit_b = group[1][1]
         scans = Counting(uncstat.testing.count_outliers)
@@ -649,7 +673,7 @@ class TestCrossTests:
         assert scans.calls == 1
         assert decision.outlier_indices == (1, 2, 3, 4)
         assert decision == uncstat.testing.test_against_interval(
-            stranger, cross_interval(case, stranger, fit_b, 0.05)
+            stranger, cross_interval(stranger, fit_b, 0.05)
         )
 
 

@@ -401,14 +401,6 @@ class TestResolveCase:
         else:
             with pytest.raises(ConfigurationError, match="cannot infer"):
                 u.resolve_case(samples)
-        # The inferred case is the only one check_case accepts, so no
-        # configured case could have run where inference does not.
-        for case in ParameterCase:
-            if case in matching:
-                multi.check_case(case, samples)
-            else:
-                with pytest.raises(ConfigurationError):
-                    multi.check_case(case, samples)
 
 
 class TestRunPipeline:
@@ -610,8 +602,19 @@ class TestReportSerialisation:
                 (pw.j, pw.i, pw.decision_j_vs_i),
             ):
                 sample, fit = parsed.population(data).sample, parsed.population(source).fit
-                band = cross_interval(parsed.case, sample, fit, parsed.alpha)
+                band = cross_interval(sample, fit, parsed.alpha)
                 assert decision == testing.test_against_interval(sample, band)
+
+    # A library caller tests a reloaded report's populations again with
+    # their own pins and the report's level, and no case.
+    @pytest.mark.parametrize(
+        "fixture_name",
+        ["example1_report", "example2_report", "example3_report", "toothmarks_report"],
+    )
+    def test_homogeneity_test_of_the_reloaded_populations(self, request, fixture_name):
+        parsed = u.parse_report(u.emit_report(request.getfixturevalue(fixture_name), "structured"))
+        group = [(p.sample, p.fit) for p in parsed.populations]
+        assert u.homogeneity_test(group, parsed.alpha) == parsed.homogeneity
 
     @pytest.mark.parametrize(
         "fixture_name",
@@ -1335,7 +1338,7 @@ class TestPlotData:
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(["population", "index", "value", "interval_source", "lower", "upper",
                          "is_outlier"])
-        bands = multi.CrossTests(report.case, report.alpha)
+        bands = multi.CrossTests(report.alpha)
         for data in report.populations:
             for source in report.populations:
                 band = bands.band(data.sample, source.fit)
