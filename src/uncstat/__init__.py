@@ -33,7 +33,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .pooling import (
-    CommonCase,
     CommonTestResult,
     MergedSample,
     common_test,
@@ -98,7 +97,6 @@ __all__ = [
     "homogeneity_test",
     "homogeneous_groups",
     # pooled tests
-    "CommonCase",
     "MergedSample",
     "CommonTestResult",
     "unify_scale",

@@ -97,7 +97,7 @@ def _file_key(path: str) -> tuple | None:
 def _check_paths(args: argparse.Namespace) -> None:
     """Refuse an output file that is an input or the other output, or that
     cannot be made: the outputs are written only after the run, so a failed
-    write would leave the report before it behind."""
+    write would leave the output before it behind."""
     named: dict[tuple, str] = {}
     for flag, path in (
         ("--data", args.data),
@@ -155,16 +155,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             config = replace(config, theta0_override=_parse_theta0(args.theta0))
 
         report = run_pipeline(samples, config, mode=args.mode)
+        if not args.report and args.format == "text":  # structured escapes all but ASCII
+            _check_encodable(report, sys.stdout)
+        # The plot goes first, as it builds every band before it opens a file.
+        if args.plot_data:
+            emit_plot_data(report, args.plot_data)
         pieces = _report_pieces(report, args.format)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         else:
-            if args.format == "text":  # the structured report escapes all but ASCII
-                _check_encodable(report, sys.stdout)
             sys.stdout.writelines(pieces)
-        if args.plot_data:
-            emit_plot_data(report, args.plot_data)
     except (DataFormatError, ConfigurationError, OSError) as exc:
         print(f"uncstat: error: {exc}", file=sys.stderr)
         return 2

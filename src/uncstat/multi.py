@@ -280,7 +280,7 @@ class CrossTests:
         members = self._members
         n = len(members)
         sample = members[k][0]
-        e, sigma = pins = _pinned(sample)
+        pins = _pinned(sample)
         columns = by_pins.get(pins)
         if columns is None:
             columns = by_pins[pins] = [None] * n, [-math.inf] * n, [math.inf] * n
@@ -289,14 +289,7 @@ class CrossTests:
         for j in compress(range(n), map(operator.is_, bands, repeat(None))):
             if j == k:
                 continue
-            source, fit = members[j]
-            key = fit.e if e is None else e, fit.sigma if sigma is None else sigma
-            try:
-                band = self._band_at(key)
-            except NumericError as exc:
-                raise type(exc)(
-                    f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
-                ) from None
+            band = self._cross_band(sample, *members[j])
             bands[j], lowers[j], uppers[j] = band, band.lower, band.upper
         # The intersection of the other columns' bands: the row's own column
         # is set to the whole line while the ends are taken.
@@ -319,6 +312,18 @@ class CrossTests:
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
         """The band :func:`cross_interval` gives, built on first use."""
         return self._band_at(_reference(pop_i, fit_j))
+
+    def _cross_band(
+        self, sample: PopulationSample, source: PopulationSample, fit: NormalUncertain
+    ) -> AcceptanceInterval:
+        """:meth:`band` of ``sample`` against ``fit``, the fit of ``source``; a
+        NumericError is raised again with both populations' ids in front."""
+        try:
+            return self.band(sample, fit)
+        except NumericError as exc:
+            raise type(exc)(
+                f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
+            ) from None
 
     def _band_at(self, key: tuple[float, float]) -> AcceptanceInterval:
         """The band of the reference ``(e, sigma)``, built on first use."""

@@ -30,7 +30,7 @@ from .multi import (
     homogeneity_test,
     resolve_case,
 )
-from .pooling import CommonCase, CommonTestResult, common_test
+from .pooling import CommonTestResult, common_test
 from .testing import PopulationSample, TestDecision, band_quantiles, fit_and_verify
 from .udist import NormalUncertain
 
@@ -53,12 +53,6 @@ __all__ = [
 
 SCHEMA_VERSION = 7
 MODES = ("pipeline", "fit", "homogeneity", "common")
-
-_AUTO_COMMON = {
-    ParameterCase.MEANS_UNKNOWN: CommonCase.MEAN,
-    ParameterCase.SIGMAS_UNKNOWN: CommonCase.SIGMA,
-    ParameterCase.BOTH_UNKNOWN: CommonCase.BOTH,
-}
 
 
 # --------------------------------------------------------------------------
@@ -191,15 +185,19 @@ def load_config(path: str | Path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config is not UTF-8 text: {exc.reason}") from None
+    return config_from_dict(_read_json(text, ConfigurationError, "config"))
+
+
+def _read_json(text: str, error: type[ValueError], noun: str) -> Any:
+    """Parse JSON ``text``, or raise ``error`` with a message about the ``noun``."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+        raise error(f"{noun} is not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer literal longer than int() converts
-        raise ConfigurationError(f"config holds a number too long to read: {exc}") from None
+        raise error(f"{noun} holds a number too long to read: {exc}") from None
     except RecursionError:
-        raise ConfigurationError("config nests too deeply to read") from None
-    return config_from_dict(obj)
+        raise error(f"{noun} nests too deeply to read") from None
 
 
 # --------------------------------------------------------------------------
@@ -475,7 +473,7 @@ def _run(
             )
         chosen = set(selected)
         group = [(s, fit) for s, fit in fitted if s.id in chosen]
-        common = common_test(_AUTO_COMMON[case], group, alpha, theta0=config.theta0_override)
+        common = common_test(group, alpha, theta0=config.theta0_override)
         warnings.extend(common.diagnostics)
 
     return RunReport(
@@ -655,6 +653,14 @@ def _group_label(ids: Sequence[str]) -> str:
     return "{%s}" % ",".join(ids)
 
 
+# The word the text report names as the pooled test's target in each case.
+_TESTED_PARAMETER = {
+    ParameterCase.MEANS_UNKNOWN: "mean",
+    ParameterCase.SIGMAS_UNKNOWN: "sigma",
+    ParameterCase.BOTH_UNKNOWN: "both",
+}
+
+
 def _text_pieces(report: RunReport) -> Iterator[str]:
     """The text report, a line or a few at a time, and the pair table a few
     hundred rows at a time.  Of its tables only the fits, one row per
@@ -756,7 +762,7 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
         assert report.selected_group is not None
         yield _heading("pooled test on selected group")
         yield f"group: {_group_label(report.selected_group)}\n"
-        yield f"tested parameter: {c.case.value}\n"
+        yield f"tested parameter: {_TESTED_PARAMETER[c.case]}\n"
         yield f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}\n"
         interval = c.decision.interval
         yield f"acceptance interval: {interval_text(interval.lower, interval.upper)}\n"
@@ -809,15 +815,7 @@ def emit_report(report: RunReport, format: str = "text") -> str:
 
 def parse_report(document: str) -> RunReport:
     """Parse a structured report document back into a :class:`RunReport`."""
-    try:
-        obj = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"report is not valid JSON: {exc}") from None
-    except ValueError as exc:  # an integer literal longer than int() converts
-        raise DataFormatError(f"report holds a number too long to read: {exc}") from None
-    except RecursionError:
-        raise DataFormatError("report nests too deeply to read") from None
-    return report_from_dict(obj)
+    return report_from_dict(_read_json(document, DataFormatError, "report"))
 
 
 def export_data(report: RunReport) -> str:
@@ -842,16 +840,17 @@ def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
     """Write long-format rows for external plotting: every data point against
     every parameter source of the homogeneity matrix, with its band and flag.
 
-    Rows are written as they are made, so memory does not grow with them.
+    Rows are written as they are made, so memory does not grow with them;
+    every band is built first, so a band that fails leaves no file.
     """
-    bands = CrossTests(report.alpha)
+    tests, pops = CrossTests(report.alpha), report.populations
+    bands = [[tests._cross_band(d.sample, s.sample, s.fit) for s in pops] for d in pops]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("population,index,value,interval_source,lower,upper,is_outlier\n")
-        fields = [_csv_field(p.sample.id) for p in report.populations]
-        for data, pid in zip(report.populations, fields):
+        fields = [_csv_field(p.sample.id) for p in pops]
+        for data, pid, row in zip(pops, fields, bands):
             values = data.sample.values
-            for source, source_id in zip(report.populations, fields):
-                band = bands.band(data.sample, source.fit)
+            for source_id, band in zip(fields, row):
                 lower, upper = band.lower, band.upper
                 tail = f"{source_id},{lower!r},{upper!r},"
                 fh.writelines(

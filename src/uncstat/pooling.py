@@ -2,10 +2,11 @@
 
 When several populations share their unknown parameters, their data can be
 pooled into one sample and tested against a fixed reference distribution.
-Populations whose pinned parameters differ are first transformed onto a
-shared footing: scales are unified to 1 when only locations are shared,
-locations are unified to 0 when only scales are shared, and data is merged
-raw when both parameters are shared.
+The group's pins decide what is pooled, as they decide the parameter case
+(:func:`~uncstat.multi.resolve_case`): populations that pin their scales
+are rescaled to unit scale and pool their locations, populations that pin
+their locations are shifted to location 0 and pool their scales, and the
+data of populations that pin nothing is merged raw and pools both.
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
 from .errors import NumericError
-from .testing import PopulationSample, TestDecision, single_test
+from .multi import CASE_PINS, FittedGroup, ParameterCase, resolve_case
+from .testing import TestDecision, single_test
 from .udist import NormalUncertain, check_level, fit_moments
 
 __all__ = [
-    "CommonCase",
     "MergedSample",
     "CommonTestResult",
     "unify_scale",
@@ -35,14 +35,6 @@ __all__ = [
 # Relative drift of the merged location above which the uncentred scale
 # estimate visibly differs from the centred one.
 _DRIFT_TOL = 1e-9
-
-
-class CommonCase(Enum):
-    """Which shared parameter the pooled test targets."""
-
-    MEAN = "mean"
-    SIGMA = "sigma"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,7 @@ class MergedSample:
 class CommonTestResult:
     """Outcome of a pooled test: the reference used and the decision on it."""
 
-    case: CommonCase
+    case: ParameterCase
     theta0: NormalUncertain
     decision: TestDecision
     merged: MergedSample
@@ -121,50 +113,55 @@ def merge(parts: Sequence[tuple[str, Sequence[float]]]) -> MergedSample:
     return MergedSample(tuple(values), tuple(sizes))
 
 
-def merge_group(
-    case: CommonCase, group: Sequence[tuple[PopulationSample, NormalUncertain]]
-) -> MergedSample:
-    """Adjust each population with its own fitted (or pinned) parameters for
-    the pooled ``case`` and merge the adjusted data in group order.
+def merge_group(group: FittedGroup) -> MergedSample:
+    """Adjust each population with its own fitted (or pinned) parameters as
+    the group's pins decide (see :func:`common_test`), and merge the
+    adjusted data in group order.
 
-    Raises :class:`~uncstat.errors.NumericError`, naming the population, when
-    rescaling to unit scale takes a value out of double precision."""
-    if case is CommonCase.MEAN:
-        parts = []
-        for s, f in group:
-            scaled = unify_scale(s.values, f.e, f.sigma)
+    Raises :class:`~uncstat.errors.ConfigurationError`, naming populations,
+    when the pins are no one case's, and :class:`~uncstat.errors.NumericError`,
+    naming the population, when rescaling to unit scale takes a value out of
+    double precision."""
+    return _merge(group, *CASE_PINS[resolve_case([s for s, _ in group])])
+
+
+def _merge(group: FittedGroup, located: bool, scaled: bool) -> MergedSample:
+    """:func:`merge_group` for a group that pins its locations and/or scales."""
+    parts = []
+    for s, f in group:
+        values = s.values
+        if scaled:
+            values = unify_scale(values, f.e, f.sigma)
             # The sum of finite values is finite unless it overflows on its
             # own; only then is each value looked at.
-            if not math.isfinite(sum(scaled)) and not all(map(math.isfinite, scaled)):
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
                 raise NumericError(
                     f"population {s.id!r}: its values rescaled to unit scale "
                     f"(sigma={f.sigma!r}) overflow double precision"
                 )
-            parts.append((s.id, scaled))
-        return merge(parts)
-    if case is CommonCase.SIGMA:
-        return merge([(s.id, unify_location(s.values, f.e)) for s, f in group])
-    return merge([(s.id, s.values) for s, _ in group])
+        if located:
+            values = unify_location(values, f.e)
+        parts.append((s.id, values))
+    return merge(parts)
 
 
 def common_test(
-    case: CommonCase,
-    group: Sequence[tuple[PopulationSample, NormalUncertain]],
-    alpha: float,
-    theta0: NormalUncertain | None = None,
+    group: FittedGroup, alpha: float, theta0: NormalUncertain | None = None
 ) -> CommonTestResult:
-    """Pooled test that the group's shared unknown parameter equals a constant.
+    """Pooled test that the group's shared unknown parameters equal a constant.
 
-    The group is adjusted and merged by :func:`merge_group`, and the merged
-    sample is tested against ``theta0``.  By default ``theta0`` is estimated
-    from the merged data itself, making the test a self-consistency check:
+    The case is the one :func:`~uncstat.multi.resolve_case` derives from the
+    pins, and the merged sample of :func:`merge_group` is tested against
+    ``theta0``.  By default ``theta0`` is estimated from the merged data
+    itself, pinning what the parts pin, so the test is a self-consistency
+    check:
 
-    * ``MEAN``  -- spreads unified to 1; reference ``(merged mean, 1)``.
-    * ``SIGMA`` -- locations unified to 0; reference ``(0, rms of merged)``,
-      where the root mean square is deliberately taken about 0, not about the
-      merged mean.  A diagnostic is recorded when the merged location drifts
-      enough for that distinction to matter.
-    * ``BOTH``  -- merged raw; reference fitted by moments from the pool.
+    * means-unknown  -- spreads unified to 1; reference ``(merged mean, 1)``.
+    * sigmas-unknown -- locations unified to 0; reference ``(0, rms of
+      merged)``, where the root mean square is deliberately taken about 0,
+      not about the merged mean.  A diagnostic is recorded when the merged
+      location drifts enough for that distinction to matter.
+    * both-unknown   -- merged raw; reference fitted by moments from the pool.
 
     Pass ``theta0`` to test the pooled data against an external constant
     instead of the merged estimate.
@@ -172,21 +169,18 @@ def common_test(
     check_level(alpha)
     if not group:
         raise ValueError("cannot run a pooled test on an empty group")
-    diagnostics: list[str] = []
-
-    merged = merge_group(case, group)
-    if case is CommonCase.MEAN:
-        fitted = fit_moments(merged.values, known_sigma=1.0)
-    elif case is CommonCase.SIGMA:
-        fitted = fit_moments(merged.values, known_e=0.0)
+    case = resolve_case([s for s, _ in group])
+    located, scaled = CASE_PINS[case]
+    merged = _merge(group, located, scaled)
+    fitted = fit_moments(merged.values, 0.0 if located else None, 1.0 if scaled else None)
+    diagnostics = []
+    if located:
         drift = math.fsum(merged.values) / merged.n
         if abs(drift) > _DRIFT_TOL * fitted.sigma:
             diagnostics.append(
                 f"merged location drifts from 0 by {drift:.6g}; the scale "
                 "estimate is taken about 0, not about the merged mean"
             )
-    else:
-        fitted = fit_moments(merged.values)
 
     reference = theta0 if theta0 is not None else fitted
     # The merged values are counted as they are: each population's values

@@ -14,9 +14,9 @@ import pytest
 
 import uncstat as u
 from uncstat import (
-    CommonCase,
     CrossTests,
     NormalUncertain,
+    ParameterCase,
     PopulationSample,
     cdf,
     common_test,
@@ -103,7 +103,7 @@ def test_criterion_2_example1_interval_matrix(example1, example1_report):
 def test_criterion_3_example1_common_test(example1_report):
     with criterion(3, "example1 pooled scale 1.404, band +-2.836, 6 outliers, threshold 8"):
         result = example1_report.common
-        assert result.case is CommonCase.SIGMA
+        assert result.case is ParameterCase.SIGMAS_UNKNOWN
         assert result.theta0.sigma == pytest.approx(1.404, abs=0.002)
         assert result.decision.interval.lower == pytest.approx(-2.836, abs=0.002)
         assert result.decision.interval.upper == pytest.approx(2.836, abs=0.002)
@@ -139,7 +139,7 @@ def test_criterion_4_example2(example2_report):
         assert example2_report.selected_group == ("2", "3")
 
         result = example2_report.common
-        assert result.case is CommonCase.MEAN
+        assert result.case is ParameterCase.MEANS_UNKNOWN
         assert result.theta0.e == pytest.approx(5.146, abs=0.002)
         assert result.decision.outlier_indices == (81,)
         assert not result.decision.rejected
@@ -157,7 +157,7 @@ def test_criterion_5_example3(example3_report):
 
         assert not example3_report.homogeneity.rejected
         result = example3_report.common
-        assert result.case is CommonCase.BOTH
+        assert result.case is ParameterCase.BOTH_UNKNOWN
         assert result.theta0.e == pytest.approx(5.139, abs=0.005)
         assert result.theta0.sigma == pytest.approx(1.260, abs=0.005)
         assert not result.decision.rejected
@@ -291,19 +291,20 @@ def test_criterion_8_property_suites():
             edges = {frozenset(p) for p, f in zip(pairs, flags) if f}
             assert set(got) == brute_force_maximal_cliques(ids, edges)
 
-        # merge-order invariance of pooled verdicts
+        # merge-order invariance of pooled verdicts, in the case the pins decide
         for _ in range(200):
             n = rng.randint(2, 4)
+            pin = rng.choice(["known_e", "known_sigma", None])
             group = []
             for k in range(n):
                 vals = rng.sample(range(-10000, 10001), rng.randint(3, 12))
-                sample = PopulationSample(f"p{k + 1}", tuple(v / 1000.0 for v in vals))
-                group.append((sample, fit_moments(sample.values)))
-            case = rng.choice(list(CommonCase))
-            base = common_test(case, group, 0.05)
+                pins = {pin: rng.randint(1, 3000) / 1000.0} if pin else {}
+                sample = PopulationSample(f"p{k + 1}", tuple(v / 1000.0 for v in vals), **pins)
+                group.append((sample, fit_moments(sample.values, sample.known_e, sample.known_sigma)))
+            base = common_test(group, 0.05)
             shuffled_group = group[:]
             rng.shuffle(shuffled_group)
-            shuffled = common_test(case, shuffled_group, 0.05)
+            shuffled = common_test(shuffled_group, 0.05)
             assert shuffled.theta0 == base.theta0
             assert shuffled.decision.rejected == base.decision.rejected
             assert sorted(shuffled.outlier_origins) == sorted(base.outlier_origins)

@@ -451,6 +451,26 @@ class TestOutputPaths:
         assert run(argv) == 0
         assert (tmp_path / "r.txt").is_file() and (tmp_path / "p.csv").is_file()
 
+    # Population a's data against b's fit has a band below the spacing of
+    # doubles at 1e16.  The fit and common modes build no cross band before
+    # the plot data does, and a band that fails leaves neither output.
+    @pytest.mark.parametrize("mode", ["fit", "common", "pipeline"])
+    def test_a_plot_band_that_fails_leaves_no_output(self, tmp_path, capsys, mode):
+        data, config = tmp_path / "d.csv", tmp_path / "c.json"
+        big = [1e16, 1e16 + 2, 1e16 - 2, 1e16 + 4]
+        rows = [("a", v) for v in big] + [("b", v) for v in (1e-8, -1e-8, 2e-8, -2e-8)]
+        data.write_text("population,value\n" + "".join(f"{i},{v!r}\n" for i, v in rows),
+                        encoding="utf-8")
+        config.write_text(json.dumps({"populations": [{"id": "a", "known_e": 1e16},
+                                                      {"id": "b", "known_e": 0}]}),
+                          encoding="utf-8")
+        argv = ["--data", data, "--config", config, "--mode", mode,
+                "--report", tmp_path / "r.txt", "--plot-data", tmp_path / "p.csv"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "uncstat: numeric error: population 'a' against the fit of 'b': " in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "d.csv"]
+
 
 @pytest.fixture
 def fresh_parser():

@@ -1147,7 +1147,7 @@ def reference_render_text(report):
         c = report.common
         lines += ["pooled test on selected group", "-" * 29]
         lines.append(f"group: {label(report.selected_group)}")
-        lines.append(f"tested parameter: {c.case.value}")
+        lines.append(f"tested parameter: {pipeline._TESTED_PARAMETER[c.case]}")
         lines.append(f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}")
         lines.append(
             "acceptance interval: "
