@@ -154,10 +154,10 @@ class HomogeneityResult:
 
     ``pairwise`` is a tuple on a run and the table-backed sequence of
     :meth:`CrossTests.pairwise` on a reload; the two are equal under ``==``.
+    It holds neither the level nor the case: a run's report keeps the level
+    in its config, and the case follows from the pins (:func:`resolve_case`).
     """
 
-    case: ParameterCase
-    alpha: float
     pairwise: Sequence[PairwiseDecision]
     groups: tuple[frozenset[str], ...]
 
@@ -463,12 +463,12 @@ def homogeneity_test(group: FittedGroup, alpha: float) -> HomogeneityResult:
     :func:`~uncstat.testing.fit_and_verify` returns it), cross-tests every
     unordered pair, and reports maximal homogeneous subgroups.  A population
     that failed its own self-test stays in the pairwise stage; callers
-    should surface the failed self-test as a model-adequacy warning.  The
-    case is the one :func:`resolve_case` derives from the pins.
+    should surface the failed self-test as a model-adequacy warning.  Pins
+    of no one case are :func:`resolve_case`'s error.
     """
     if len(group) < 2:
         raise ValueError("homogeneity requires at least two populations")
-    case = resolve_case([s for s, _ in group])
+    resolve_case([s for s, _ in group])
 
     tests = CrossTests(alpha, group)  # validates the level
     pairwise = tuple(
@@ -478,7 +478,7 @@ def homogeneity_test(group: FittedGroup, alpha: float) -> HomogeneityResult:
     # homogeneous_groups rejects repeated ids.  Every component test runs at
     # alpha, so by ufwer the family-wise level is alpha too.
     groups = homogeneous_groups([s.id for s, _ in group], pairwise)
-    return HomogeneityResult(case=case, alpha=alpha, pairwise=pairwise, groups=groups)
+    return HomogeneityResult(pairwise=pairwise, groups=groups)
 
 
 def homogeneous_groups(

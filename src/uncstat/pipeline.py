@@ -321,9 +321,9 @@ _Pins = tuple[float | None, float | None]
 def _join(
     config: RunConfig, ids: Sequence[str], pins: Sequence[_Pins] | None = None
 ) -> list[_Pins]:
-    """The one rule that joins a run's config to its data: every declared id
-    has data, and a declared population's pins are its sample's ``pins``,
-    which are taken from the config when not given.  Returns each id's pins.
+    """The one rule that joins a run's config to its data: every declared or
+    selected id has data, and a declared population's pins are its sample's
+    ``pins``, taken from the config when not given.  Returns each id's pins.
     """
     declared = {p.id: (p.known_e, p.known_sigma) for p in config.populations}
     missing = sorted(set(declared).difference(ids))
@@ -336,6 +336,9 @@ def _join(
                 f"population {pid!r}: its sample pins (known_e, known_sigma) = {own!r}, "
                 f"but the config pins {declared[pid]!r}"
             )
+    unknown = sorted(set(config.group_selection or ()).difference(ids))
+    if unknown:
+        raise ConfigurationError(f"group selection names unknown populations: {unknown}")
     return list(pins)
 
 
@@ -378,20 +381,56 @@ class PopulationReport:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Complete, serialisable record of one pipeline run."""
+    """Complete, serialisable record of one pipeline run: what each stage
+    decided, stored once.  The level, the parameter case, the pooled group
+    and the warnings are derived from it."""
 
     mode: str
     config: RunConfig  # as run: its populations are those that pin, in sample order
-    case: ParameterCase
     populations: tuple[PopulationReport, ...]
     homogeneity: HomogeneityResult | None
-    selected_group: tuple[str, ...] | None
     common: CommonTestResult | None
-    warnings: tuple[str, ...] = ()
 
     @property
     def alpha(self) -> float:
         return self.config.alpha
+
+    @property
+    def case(self) -> ParameterCase:
+        """The case the samples' pins decide."""
+        return resolve_case([p.sample for p in self.populations])
+
+    @property
+    def selected_group(self) -> tuple[str, ...] | None:
+        """The ids the pooled test merged, in sample order; None without one."""
+        return None if self.common is None else tuple(pid for pid, _ in self.common.merged.parts)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """Rejected self-tests in sample order, a skipped homogeneity test, a
+        selection that is no discovered group, a group of one, then diagnostics."""
+        found = [
+            f"population {p.sample.id}: self-test rejected its own moment fit; "
+            "the data may not follow a normal uncertainty distribution"
+            for p in self.populations
+            if p.self_test.rejected
+        ]
+        if self.mode in ("pipeline", "homogeneity") and self.homogeneity is None:
+            found.append("only one population: homogeneity test skipped")
+        if self.common is None:
+            return tuple(found)
+        chosen, hom = self.config.group_selection, self.homogeneity
+        if chosen is not None and hom is not None and set(chosen) not in hom.groups:
+            found.append(
+                "selected group {%s} is not one of the discovered homogeneous groups"
+                % ",".join(sorted(chosen))
+            )
+        if len(parts := self.common.merged.parts) == 1:
+            found.append(
+                f"group has a single population ({parts[0][0]}); the pooled "
+                "test reduces to its self-consistency check"
+            )
+        return (*found, *self.common.diagnostics)
 
     def population(self, pid: str) -> PopulationReport:
         for entry in self.populations:
@@ -434,8 +473,7 @@ def _run(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not samples:
         raise ValueError("at least one population is required")
-    alpha = config.alpha
-    case = resolve_case(samples)
+    resolve_case(samples)
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("population ids must be unique")
@@ -443,73 +481,35 @@ def _run(
     pinned = [PopulationConfig(s.id, s.known_e, s.known_sigma) for s in samples if any(s.pins)]
     config = replace(config, populations=tuple(pinned))
 
-    warnings: list[str] = []
     populations = []
     for s in samples:
-        fit, self_test = fit_and_verify(s, alpha)
+        fit, self_test = fit_and_verify(s, config.alpha)
         populations.append(PopulationReport(sample=s, fit=fit, self_test=self_test))
-        if self_test.rejected:
-            warnings.append(
-                f"population {s.id}: self-test rejected its own moment fit; "
-                "the data may not follow a normal uncertainty distribution"
-            )
     fitted = [(p.sample, p.fit) for p in populations]
 
     homogeneity: HomogeneityResult | None = None
-    if mode in ("pipeline", "homogeneity"):
-        if len(samples) >= 2:
-            homogeneity = test_homogeneity(fitted, alpha)
-        else:
-            warnings.append("only one population: homogeneity test skipped")
+    if mode in ("pipeline", "homogeneity") and len(samples) >= 2:
+        homogeneity = test_homogeneity(fitted, config.alpha)
 
-    selected: tuple[str, ...] | None = None
     common: CommonTestResult | None = None
     if mode in ("pipeline", "common"):
-        selected = _select_group(ids, config, homogeneity, warnings)
-        if len(selected) == 1:
-            warnings.append(
-                f"group has a single population ({selected[0]}); the pooled "
-                "test reduces to its self-consistency check"
-            )
-        chosen = set(selected)
+        chosen = _select_group(ids, config, homogeneity)
         group = [(s, fit) for s, fit in fitted if s.id in chosen]
-        common = common_test(group, alpha, theta0=config.theta0_override)
-        warnings.extend(common.diagnostics)
+        common = common_test(group, config.alpha, theta0=config.theta0_override)
 
-    return RunReport(
-        mode=mode,
-        config=config,
-        case=case,
-        populations=tuple(populations),
-        homogeneity=homogeneity,
-        selected_group=selected,
-        common=common,
-        warnings=tuple(warnings),
-    )
+    return RunReport(mode, config, tuple(populations), homogeneity, common)
 
 
 def _select_group(
-    ids: Sequence[str],
-    config: RunConfig,
-    homogeneity: HomogeneityResult | None,
-    warnings: list[str],
-) -> tuple[str, ...]:
-    """Explicit selection wins; otherwise the unique largest homogeneous group."""
+    ids: Sequence[str], config: RunConfig, homogeneity: HomogeneityResult | None
+) -> frozenset[str]:
+    """The ids to pool: an explicit selection wins; otherwise the unique
+    largest homogeneous group, or every id when there is no grouping (a
+    single population, or mode 'common')."""
     if config.group_selection is not None:
-        unknown = sorted(set(config.group_selection) - set(ids))
-        if unknown:
-            raise ConfigurationError(f"group selection names unknown populations: {unknown}")
-        chosen = set(config.group_selection)
-        if homogeneity is not None and not any(chosen == set(g) for g in homogeneity.groups):
-            warnings.append(
-                "selected group {%s} is not one of the discovered homogeneous groups"
-                % ",".join(sorted(chosen))
-            )
-        return tuple(i for i in ids if i in chosen)
+        return frozenset(config.group_selection)
     if homogeneity is None:
-        # No grouping information (single population, or mode 'common'):
-        # pool everything.
-        return tuple(ids)
+        return frozenset(ids)
     top = len(homogeneity.groups[0])
     tied = [g for g in homogeneity.groups if len(g) == top]
     if len(tied) > 1:
@@ -518,8 +518,7 @@ def _select_group(
             f"largest homogeneous group is ambiguous; pick one with an explicit "
             f"group selection: {listing}"
         )
-    chosen = set(tied[0])
-    return tuple(i for i in ids if i in chosen)
+    return tied[0]
 
 
 # --------------------------------------------------------------------------
@@ -611,10 +610,9 @@ def _rederive_homogeneity(group: FittedGroup, alpha: float) -> HomogeneityResult
     reload builds no record.  The stage calls neither ``pairwise_test`` nor
     ``homogeneity_test``, because calls to those two trace the work of a run.
     """
-    case = resolve_case([s for s, _ in group])
     tests = CrossTests(alpha, group)
     groups = _groups([s.id for s, _ in group], tests._neighbours())
-    return HomogeneityResult(case=case, alpha=alpha, pairwise=tests.pairwise(), groups=groups)
+    return HomogeneityResult(pairwise=tests.pairwise(), groups=groups)
 
 
 # --------------------------------------------------------------------------
@@ -671,10 +669,11 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
     # hold one band per source, so each is formatted once; the bound keeps
     # the cache small when every cell's band differs.
     interval_text = lru_cache(maxsize=len(report.populations) + 1)(_fmt_interval)
+    case = report.case
     yield _heading("multi-population uncertainty test report", "=")
     yield (
         f"\nmode: {report.mode}\nsignificance level: {report.alpha:g}\n"
-        f"parameter case: {report.case.value}\n\n"
+        f"parameter case: {case.value}\n\n"
     )
 
     yield _heading("population fits and self-tests")
@@ -759,10 +758,9 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
 
     if report.common is not None:
         c = report.common
-        assert report.selected_group is not None
         yield _heading("pooled test on selected group")
         yield f"group: {_group_label(report.selected_group)}\n"
-        yield f"tested parameter: {_TESTED_PARAMETER[c.case]}\n"
+        yield f"tested parameter: {_TESTED_PARAMETER[case]}\n"
         yield f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}\n"
         interval = c.decision.interval
         yield f"acceptance interval: {interval_text(interval.lower, interval.upper)}\n"
@@ -777,8 +775,8 @@ def _text_pieces(report: RunReport) -> Iterator[str]:
         yield f"hypothesis: {c.decision.verdict}\n\n"
 
     yield _heading("warnings")
-    if report.warnings:
-        yield from (f"- {w}\n" for w in report.warnings)
+    if warnings := report.warnings:
+        yield from (f"- {w}\n" for w in warnings)
     else:
         yield "(none)\n"
 

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import NumericError
-from .multi import CASE_PINS, FittedGroup, ParameterCase, resolve_case
+from .multi import CASE_PINS, FittedGroup, resolve_case
 from .testing import TestDecision, single_test
 from .udist import NormalUncertain, check_level, fit_moments
 
@@ -72,9 +72,9 @@ class MergedSample:
 
 @dataclass(frozen=True)
 class CommonTestResult:
-    """Outcome of a pooled test: the reference used and the decision on it."""
+    """Outcome of a pooled test: the reference used and the decision on it.
+    The pooled ids are those of ``merged.parts``; their pins decide the case."""
 
-    case: ParameterCase
     theta0: NormalUncertain
     decision: TestDecision
     merged: MergedSample
@@ -118,15 +118,21 @@ def merge_group(group: FittedGroup) -> MergedSample:
     the group's pins decide (see :func:`common_test`), and merge the
     adjusted data in group order.
 
-    Raises :class:`~uncstat.errors.ConfigurationError`, naming populations,
-    when the pins are no one case's, and :class:`~uncstat.errors.NumericError`,
+    Raises ValueError for an empty group or a repeated id,
+    :class:`~uncstat.errors.ConfigurationError`, naming populations, when
+    the pins are no one case's, and :class:`~uncstat.errors.NumericError`,
     naming the population, when rescaling to unit scale takes a value out of
     double precision."""
-    return _merge(group, *CASE_PINS[resolve_case([s for s, _ in group])])
+    return _merge(group)[0]
 
 
-def _merge(group: FittedGroup, located: bool, scaled: bool) -> MergedSample:
-    """:func:`merge_group` for a group that pins its locations and/or scales."""
+def _merge(group: FittedGroup) -> tuple[MergedSample, bool, bool]:
+    """:func:`merge_group`, and whether the group pins locations and scales."""
+    if not group:
+        raise ValueError("cannot pool an empty group")
+    if len({s.id for s, _ in group}) != len(group):
+        raise ValueError("population ids must be unique")
+    located, scaled = CASE_PINS[resolve_case([s for s, _ in group])]
     parts = []
     for s, f in group:
         values = s.values
@@ -142,7 +148,7 @@ def _merge(group: FittedGroup, located: bool, scaled: bool) -> MergedSample:
         if located:
             values = unify_location(values, f.e)
         parts.append((s.id, values))
-    return merge(parts)
+    return merge(parts), located, scaled
 
 
 def common_test(
@@ -167,11 +173,7 @@ def common_test(
     instead of the merged estimate.
     """
     check_level(alpha)
-    if not group:
-        raise ValueError("cannot run a pooled test on an empty group")
-    case = resolve_case([s for s, _ in group])
-    located, scaled = CASE_PINS[case]
-    merged = _merge(group, located, scaled)
+    merged, located, scaled = _merge(group)
     fitted = fit_moments(merged.values, 0.0 if located else None, 1.0 if scaled else None)
     diagnostics = []
     if located:
@@ -187,7 +189,6 @@ def common_test(
     # were checked when it was built, and a value the adjustment takes out of
     # double precision fails merge_group or the fit above.
     return CommonTestResult(
-        case=case,
         theta0=reference,
         decision=single_test(merged, reference, alpha),
         merged=merged,

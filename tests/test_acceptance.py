@@ -103,7 +103,7 @@ def test_criterion_2_example1_interval_matrix(example1, example1_report):
 def test_criterion_3_example1_common_test(example1_report):
     with criterion(3, "example1 pooled scale 1.404, band +-2.836, 6 outliers, threshold 8"):
         result = example1_report.common
-        assert result.case is ParameterCase.SIGMAS_UNKNOWN
+        assert example1_report.case is ParameterCase.SIGMAS_UNKNOWN
         assert result.theta0.sigma == pytest.approx(1.404, abs=0.002)
         assert result.decision.interval.lower == pytest.approx(-2.836, abs=0.002)
         assert result.decision.interval.upper == pytest.approx(2.836, abs=0.002)
@@ -139,7 +139,7 @@ def test_criterion_4_example2(example2_report):
         assert example2_report.selected_group == ("2", "3")
 
         result = example2_report.common
-        assert result.case is ParameterCase.MEANS_UNKNOWN
+        assert example2_report.case is ParameterCase.MEANS_UNKNOWN
         assert result.theta0.e == pytest.approx(5.146, abs=0.002)
         assert result.decision.outlier_indices == (81,)
         assert not result.decision.rejected
@@ -157,7 +157,7 @@ def test_criterion_5_example3(example3_report):
 
         assert not example3_report.homogeneity.rejected
         result = example3_report.common
-        assert result.case is ParameterCase.BOTH_UNKNOWN
+        assert example3_report.case is ParameterCase.BOTH_UNKNOWN
         assert result.theta0.e == pytest.approx(5.139, abs=0.005)
         assert result.theta0.sigma == pytest.approx(1.260, abs=0.005)
         assert not result.decision.rejected

@@ -344,6 +344,17 @@ class TestFlags:
         data, config = field_paths
         assert run(["--data", data, "--config", config, "--group", "3,zzz"]) == 2
 
+    # Every mode checks the selection against the data, and before any fit.
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unknown_group_is_two_before_any_fit(self, field_paths, capsys, monkeypatch, mode):
+        data, config = field_paths
+        fits = []
+        monkeypatch.setattr(u.pipeline, "fit_and_verify", lambda *args: fits.append(args))
+        assert run(["--data", data, "--config", config, "--mode", mode, "--group", "zz,3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "uncstat: error: group selection names unknown populations: ['zz']\n"
+        assert fits == []
+
     def test_plot_data_flag(self, field_paths, tmp_path):
         data, config = field_paths
         plot = tmp_path / "points.csv"

@@ -170,9 +170,8 @@ class TestCaseTable:
         ]
         samples = [s for s, _ in group]
         if first == second != "both":
-            result = homogeneity_test(group, 0.05)
-            assert result.case is resolve_case(samples)
-            assert CASE_PATTERN[result.case] == first
+            homogeneity_test(group, 0.05)
+            assert CASE_PATTERN[resolve_case(samples)] == first
             return
         with pytest.raises(ConfigurationError, match="cannot infer the parameter case") as raised:
             homogeneity_test(group, 0.05)
@@ -255,7 +254,7 @@ class TestHomogeneityTest:
         samples, _ = example1
         group = fitted(samples)
         result = homogeneity_test(group, 0.05)
-        assert result.alpha == 0.05
+        assert {p.decision_i_vs_j.interval.alpha for p in result.pairwise} == {0.05}
         sigmas = [fit.sigma for _, fit in group]
         assert sigmas == pytest.approx([1.420, 1.348, 1.434], abs=5e-3)
         assert not result.rejected
@@ -577,7 +576,7 @@ class TestCrossTests:
         ids = [s.id for s, _ in group]
         neighbours = tests._neighbours()
         assert neighbours == _graph(ids, tuple(pairs))
-        result = HomogeneityResult(case, alpha, pairs, _groups(ids, neighbours))
+        result = HomogeneityResult(pairs, _groups(ids, neighbours))
         assert result.rejected == (not all(p.homogeneous for p in pairs))
         assert result == homogeneity_test(group, alpha)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import copy
 import gc
@@ -468,6 +469,39 @@ class TestRunPipeline:
         with pytest.raises(ConfigurationError, match="zzz"):
             u.run_pipeline(samples, config)
 
+    # The selection is joined to the data with the rest of the config, so
+    # every mode refuses an unknown id, before a sample without spread is fit.
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unknown_selection_is_refused_before_any_fit(self, mode):
+        samples = [PopulationSample("flat", (2.0, 2.0, 2.0)), PopulationSample("ok", (1.0, 4.0))]
+        with pytest.raises(u.DegenerateSampleError):
+            u.run_pipeline(samples, RunConfig(), mode=mode)
+        config = RunConfig(group_selection=("ok", "zz"))
+        message = r"^group selection names unknown populations: \['zz'\]$"
+        with pytest.raises(ConfigurationError, match=message):
+            u.run_pipeline(samples, config, mode=mode)
+
+    def test_ingest_refuses_a_selection_of_unknown_ids(self, tmp_path):
+        data = write(tmp_path, "d.csv", "population,value\na,1\na,2\nb,3\nb,5\n")
+        config = write(tmp_path, "c.json", '{"group_selection": ["zz", "b", "y"]}')
+        with pytest.raises(ConfigurationError, match=r"unknown populations: \['y', 'zz'\]$"):
+            u.ingest(data, config)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_population_skips_the_homogeneity_test(self, mode):
+        report = u.run_pipeline([PopulationSample("only", (1.0, 2.0, 3.0))], RunConfig(), mode)
+        assert report.homogeneity is None
+        skipped = "only one population: homogeneity test skipped" in report.warnings
+        assert skipped == (mode in ("pipeline", "homogeneity"))
+
+    def test_the_report_stores_each_stage_once(self):
+        def names(cls):
+            return [field.name for field in dataclasses.fields(cls)]
+
+        assert names(u.RunReport) == ["mode", "config", "populations", "homogeneity", "common"]
+        assert names(u.HomogeneityResult) == ["pairwise", "groups"]
+        assert names(u.CommonTestResult) == ["theta0", "decision", "merged", "diagnostics"]
+
     def test_theta0_override_is_used(self, toothmarks):
         samples, config = toothmarks
         from dataclasses import replace
@@ -922,6 +956,16 @@ class TestReportSerialisation:
         with pytest.raises(DataFormatError, match="in sample order"):
             u.parse_report(json.dumps(obj))
 
+    # A reload joins the selection to the data as a run does, in every mode.
+    @pytest.mark.parametrize("mode", MODES)
+    def test_selection_of_unknown_ids_is_a_format_error(self, toothmarks_report, mode):
+        obj = json.loads(u.emit_report(toothmarks_report, "structured"))
+        obj["mode"] = mode
+        obj["config"]["group_selection"] = ["3", "zz"]
+        message = r"group selection names unknown populations: \['zz'\]$"
+        with pytest.raises(DataFormatError, match=message):
+            u.parse_report(json.dumps(obj))
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("case", list(ParameterCase))
     @given(data=st.data())
@@ -1147,7 +1191,7 @@ def reference_render_text(report):
         c = report.common
         lines += ["pooled test on selected group", "-" * 29]
         lines.append(f"group: {label(report.selected_group)}")
-        lines.append(f"tested parameter: {pipeline._TESTED_PARAMETER[c.case]}")
+        lines.append(f"tested parameter: {pipeline._TESTED_PARAMETER[report.case]}")
         lines.append(f"reference: e={_fmt3(c.theta0.e)} sigma={_fmt3(c.theta0.sigma)}")
         lines.append(
             "acceptance interval: "
@@ -1219,6 +1263,42 @@ def reports(draw):
         assume(False)
 
 
+def stored_derivations(report):
+    """The case, the pooled group and the warnings of a report, made stage by
+    stage as a run once made and stored them: the reference the report's
+    properties are checked against."""
+    samples = [p.sample for p in report.populations]
+    ids = [s.id for s in samples]
+    warnings = [
+        f"population {p.sample.id}: self-test rejected its own moment fit; "
+        "the data may not follow a normal uncertainty distribution"
+        for p in report.populations
+        if p.self_test.rejected
+    ]
+    if report.mode in ("pipeline", "homogeneity") and len(samples) < 2:
+        warnings.append("only one population: homogeneity test skipped")
+    selected = None
+    if report.mode in ("pipeline", "common"):
+        hom, selection = report.homogeneity, report.config.group_selection
+        if selection is not None:
+            chosen = set(selection)
+            if hom is not None and not any(chosen == set(g) for g in hom.groups):
+                warnings.append(
+                    "selected group {%s} is not one of the discovered homogeneous groups"
+                    % ",".join(sorted(chosen))
+                )
+        else:
+            chosen = set(ids) if hom is None else set(hom.groups[0])
+        selected = tuple(i for i in ids if i in chosen)
+        if len(selected) == 1:
+            warnings.append(
+                f"group has a single population ({selected[0]}); the pooled "
+                "test reduces to its self-consistency check"
+            )
+        warnings.extend(report.common.diagnostics)
+    return u.resolve_case(samples), selected, tuple(warnings)
+
+
 def write_report(report, fmt, path):
     """Write a report to a file as the command line does: piece by piece."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -1274,6 +1354,18 @@ class TestReportPieces:
         peak = traced_peak(lambda: write_report(report, "text", path))
         # Every line held before the join made the peak six times the size.
         assert peak < path.stat().st_size / 2
+
+
+class TestDerivedProperties:
+    # The report stores each stage's result once; the case, the pooled group
+    # and the warnings are derived, on a run and on its reload alike.
+    @given(report=reports())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_derived_properties_equal_what_the_stages_stored(self, report):
+        expected = stored_derivations(report)
+        parsed = u.parse_report(u.emit_report(report, "structured"))
+        for derived in (report, parsed):
+            assert (derived.case, derived.selected_group, derived.warnings) == expected
 
 
 class TestPlotData:

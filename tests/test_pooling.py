@@ -152,8 +152,8 @@ class TestCommonTest:
     def test_sigma_case_on_three_pinned_location_populations(self, example1):
         samples, _ = example1
         fits = [fit_moments(s.values, s.known_e, s.known_sigma) for s in samples]
+        assert resolve_case(samples) is ParameterCase.SIGMAS_UNKNOWN
         result = common_test(list(zip(samples, fits)), 0.05)
-        assert result.case is ParameterCase.SIGMAS_UNKNOWN
         assert result.theta0.e == 0.0
         assert result.theta0.sigma == pytest.approx(1.404, abs=2e-3)
         assert result.decision.interval.lower == pytest.approx(-2.836, abs=2e-3)
@@ -169,8 +169,8 @@ class TestCommonTest:
         samples, _ = example2
         group = [s for s in samples if s.id in ("2", "3")]
         fits = [fit_moments(s.values, s.known_e, s.known_sigma) for s in group]
+        assert resolve_case(group) is ParameterCase.MEANS_UNKNOWN
         result = common_test(list(zip(group, fits)), 0.05)
-        assert result.case is ParameterCase.MEANS_UNKNOWN
         assert result.theta0.sigma == 1.0
         assert result.theta0.e == pytest.approx(5.146, abs=2e-3)
         assert result.decision.interval.lower == pytest.approx(3.126, abs=2e-3)
@@ -185,8 +185,8 @@ class TestCommonTest:
         samples, _ = toothmarks
         group = [s for s in samples if s.id in ("3", "4", "5", "6")]
         fits = [fit_moments(s.values) for s in group]
+        assert resolve_case(group) is ParameterCase.BOTH_UNKNOWN
         result = common_test(list(zip(group, fits)), 0.05)
-        assert result.case is ParameterCase.BOTH_UNKNOWN
         assert result.theta0.e == pytest.approx(2.516, abs=2e-3)
         assert result.theta0.sigma == pytest.approx(0.083, abs=2e-3)
         assert result.decision.interval.lower == pytest.approx(2.348, abs=2e-3)
@@ -232,8 +232,8 @@ class TestCommonTest:
             PopulationSample(s.id, s.values, known_e=math.fsum(s.values) / s.size) for s in samples
         ]
         fits = [fit_moments(s.values, s.known_e) for s in samples]
+        assert resolve_case(samples) is ParameterCase.SIGMAS_UNKNOWN
         result = common_test(list(zip(samples, fits)), 0.05)
-        assert result.case is ParameterCase.SIGMAS_UNKNOWN
         merged = result.merged.values
         mean = math.fsum(merged) / len(merged)
         assert abs(mean) <= 1e-12 * max(map(abs, merged))
@@ -258,7 +258,7 @@ class TestCommonTest:
         perm = data.draw(st.permutations(range(n)))
         base = common_test(group, 0.05)
         shuffled = common_test([group[k] for k in perm], 0.05)
-        assert shuffled.case is base.case is case
+        assert resolve_case([s for s, _ in group]) is case
         assert shuffled.theta0 == base.theta0
         assert shuffled.decision.rejected == base.decision.rejected
         assert shuffled.decision.threshold == base.decision.threshold
@@ -313,7 +313,7 @@ def reference_common_test(group, alpha, theta0=None):
         merged = merge([(s.id, s.values) for s, _ in group])
         fitted = fit_moments(merged.values)
     reference = theta0 if theta0 is not None else fitted
-    return CommonTestResult(case, reference, single_test(merged, reference, alpha), merged,
+    return CommonTestResult(reference, single_test(merged, reference, alpha), merged,
                             tuple(diagnostics))
 
 
@@ -347,8 +347,36 @@ class TestPinsDecideThePool:
             call()
         assert "population 'b0' pins the location and the scale" in str(raised.value)
 
-    # One enum names the case in the run, its homogeneity and its pooled test.
+    # Both entries validate a group in one place, before its pins are read:
+    # an empty group and a repeated id are plain ValueErrors, not the
+    # ConfigurationError resolve_case raises for pins.
+    @pytest.mark.parametrize("entry", ["common_test", "merge_group"])
+    def test_an_empty_group_is_refused(self, entry):
+        call = {"common_test": lambda: common_test([], 0.05), "merge_group": lambda: merge_group([])}
+        with pytest.raises(ValueError, match="empty group") as raised:
+            call[entry]()
+        assert type(raised.value) is ValueError
+
+    @pytest.mark.parametrize("entry", ["common_test", "merge_group"])
+    @pytest.mark.parametrize("pins", [{}, {"known_sigma": 2.0}])
+    def test_a_repeated_id_is_refused(self, entry, pins):
+        # The repeated sample used to be pooled twice: 8 points from 4.
+        sample = PopulationSample("a", (1.0, 2.0, 3.5, 4.0), **pins)
+        other = PopulationSample("b", (0.5, 2.5, 3.0))
+        fit = fit_moments(sample.values, sample.known_e, sample.known_sigma)
+        for group in ([(sample, fit), (sample, fit)], [(sample, fit), (other, fit), (sample, fit)]):
+            call = {"common_test": lambda: common_test(group, 0.05),
+                    "merge_group": lambda: merge_group(group)}[entry]
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == "population ids must be unique"
+
+    # The run's case is derived from the pins, and its pooled group's pins
+    # decide the same one.
     @pytest.mark.parametrize("study", ["example1", "example2", "example3", "toothmarks"])
     def test_the_run_and_its_pooled_test_name_one_case(self, request, study):
         report = request.getfixturevalue(f"{study}_report")
-        assert report.common.case is report.homogeneity.case is report.case
+        pooled = [report.population(pid).sample for pid in report.selected_group]
+        assert resolve_case(pooled) is report.case
+        assert report.case is resolve_case([p.sample for p in report.populations])
