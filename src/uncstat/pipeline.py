@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -27,6 +27,7 @@ from .multi import (
     HomogeneityResult,
     ParameterCase,
     _groups,
+    _pinned,
     homogeneity_test,
     resolve_case,
 )
@@ -204,19 +205,28 @@ def _read_json(text: str, error: type[ValueError], noun: str) -> Any:
 # ingestion
 
 
-# Characters of whole lines read per block; far below the default csv field
-# limit, so an ordinary block is never handed to csv for its length alone.
+# Characters read per block.  A block is cut after its last line break, so
+# it holds whole lines, and a line longer than a block is read on to its
+# end.  Far below the default csv field limit, so an ordinary block is never
+# handed to csv for its length alone.
 _BLOCK_HINT = 1 << 16
+
+# Every byte but "," and "\n": deleting them leaves a plain block's UTF-8
+# text as ",\n" once per line, so this skeleton both checks and counts the
+# lines.  No byte of a multi-byte UTF-8 sequence is ASCII, so the skeleton
+# holds the block's own separators and nothing else.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 def _read_columns(data_path: str | Path) -> dict[str, list[float]]:
     """Each population's values in file order, every record checked.
 
-    The file is read in blocks of whole lines, so no list of every row is
-    held.  Plain blocks are converted a column at a time; from the first
-    block that is not plain on, ``csv.reader`` reads the rest of the file
-    record by record.  The default newline mode leaves only ``"\\n"`` in the
-    text, and reads a line break inside a quoted field as ``"\\n"``.
+    The file is read in blocks of whole lines (:func:`_blocks`), so no list
+    of every row is held.  Plain blocks are converted a column at a time;
+    from the first block that is not plain on, ``csv.reader`` reads the
+    rest of the file record by record.  The default newline mode leaves
+    only ``"\\n"`` in the text, and reads a line break inside a quoted field
+    as ``"\\n"``.
     """
     by_id: dict[str, list[float]] = {}
     with open(data_path, encoding="utf-8-sig") as fh:
@@ -231,49 +241,80 @@ def _read_columns(data_path: str | Path) -> dict[str, list[float]]:
         if [h.strip() for h in header] != ["population", "value"]:
             raise DataFormatError("line 1: expected header 'population,value'")
         lineno = 2
-        while lines := fh.readlines(_BLOCK_HINT):
-            if not _add_plain_block(lines, by_id):
-                _add_rows(csv.reader(chain(lines, fh)), lineno, by_id)
+        for block, tail in _blocks(fh):
+            added = _add_plain_block(block, by_id)
+            if not added:
+                # csv reads each string as one line: the block's lines, then
+                # the line the last read ended in, whole, then the rest.
+                lines = io.StringIO(block, newline="\n")
+                rest = [tail + fh.readline()] if tail else ()
+                _add_rows(csv.reader(chain(lines, rest, fh)), lineno, by_id)
                 break
-            lineno += len(lines)
+            lineno += added
     return by_id
 
 
-def _add_plain_block(lines: list[str], by_id: dict[str, list[float]]) -> bool:
+def _blocks(fh: io.TextIOBase) -> Iterator[tuple[str, str]]:
+    """Blocks of whole lines from ``fh``, read :data:`_BLOCK_HINT` characters
+    at a time: each block and the start of the next line, which the last
+    read ended in.  The last line of a file may end without a line break;
+    it is a block of its own."""
+    pieces: list[str] = []
+    while chunk := fh.read(_BLOCK_HINT):
+        cut = chunk.rfind("\n") + 1
+        if not cut:  # a line longer than a read
+            pieces.append(chunk)
+            continue
+        pieces.append(chunk[:cut])
+        tail = chunk[cut:]
+        yield "".join(pieces), tail
+        pieces = [tail]
+    if last := "".join(pieces):
+        yield last, ""
+
+
+def _add_plain_block(text: str, by_id: dict[str, list[float]]) -> int:
     """Add a block of lines that csv would read as one ``id,value`` record
-    each, column by column.
+    each, column by column, and return the number of lines.
 
     A block is plain when it holds no quote, no NUL (which csv rejects on
     some versions), no more characters than csv's field limit, and exactly
-    one comma on every line.  Returns False, having added nothing, when the
+    one comma on every line.  Returns 0, having added nothing, when the
     block is not plain or any record in it fails a check: csv then reads it
     again and names the line.
     """
-    text = "".join(lines)
-    n = len(lines)
-    if (
-        '"' in text
-        or "\0" in text
-        or len(text) > csv.field_size_limit()
-        or text.count(",") != n
-        or not all(map(operator.contains, lines, repeat(",")))
-    ):
-        return False
+    if '"' in text or "\0" in text or len(text) > csv.field_size_limit():
+        return 0
+    if not text.endswith("\n"):
+        text += "\n"  # the last line of a file that ends without a line break
+    skeleton = text.encode().translate(None, _NOT_SEPARATORS)
+    n = len(skeleton) // 2
+    if skeleton != b",\n" * n:
+        return 0
     fields = text.replace("\n", ",").split(",")
-    ids = list(map(str.strip, fields[0 : 2 * n : 2]))
-    raw = fields[1 : 2 * n : 2]
-    if "" in ids or "_" in "".join(raw):
-        return False
+    ids, raw = fields[0 : 2 * n : 2], fields[1 : 2 * n : 2]
+    if "_" in text and "_" in "".join(raw):
+        return 0
     try:
         values = list(map(float, raw))  # float() strips no more than str.strip()
     except ValueError:
-        return False
-    if not all(map(math.isfinite, values)):
-        return False
+        return 0
+    # A sum of finite values is not finite only when it overflows.
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        return 0
+    if ids.count(ids[0]) == n:  # one population: its id is stripped once
+        pid = ids[0].strip()
+        if not pid:
+            return 0
+        by_id.setdefault(pid, []).extend(values)
+        return n
+    ids = list(map(str.strip, ids))
+    if "" in ids:
+        return 0
     starts = [0, *compress(count(1), map(operator.ne, ids[1:], ids)), n]
     for start, end in zip(starts, starts[1:]):
         by_id.setdefault(ids[start], []).extend(values[start:end])
-    return True
+    return n
 
 
 def _add_rows(reader: Any, first: int, by_id: dict[str, list[float]]) -> None:
@@ -834,22 +875,48 @@ def _csv_field(text: str) -> str:
     return out.getvalue()[:-1]
 
 
+def _band_ends(
+    sample: PopulationSample, fits: Sequence[NormalUncertain], alpha: float
+) -> tuple[list[float], list[float]]:
+    """The lower and upper ends of ``sample``'s band against each of
+    ``fits``, as :func:`~uncstat.multi.cross_interval` builds it and bit for
+    bit as :class:`~uncstat.testing.AcceptanceInterval` computes its ends:
+    ``e + sigma * q`` for the reference ``(e, sigma)``."""
+    q_lower, q_upper = band_quantiles(alpha)
+    e, sigma = _pinned(sample)
+    refs = [(f.e if e is None else e, f.sigma if sigma is None else sigma) for f in fits]
+    return [m + s * q_lower for m, s in refs], [m + s * q_upper for m, s in refs]
+
+
 def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
     """Write long-format rows for external plotting: every data point against
     every parameter source of the homogeneity matrix, with its band and flag.
 
-    Rows are written as they are made, so memory does not grow with them;
-    every band is built first, so a band that fails leaves no file.
+    Rows are written as they are made, and a band is kept only as its two
+    ends, one row of them at a time, so memory grows with neither the rows
+    nor the cells.  Every band is checked first, one row per distinct pins,
+    so a band that fails leaves no file; its error is the one
+    :class:`~uncstat.multi.CrossTests` raises for it.
     """
-    tests, pops = CrossTests(report.alpha), report.populations
-    bands = [[tests._cross_band(d.sample, s.sample, s.fit) for s in pops] for d in pops]
+    pops, alpha = report.populations, report.alpha
+    fits = [p.fit for p in pops]
+    checked: set[tuple[float | None, float | None]] = set()
+    for data in pops:
+        pins = data.sample.known_e, data.sample.known_sigma
+        if pins in checked:
+            continue  # the same pins give the same row of bands
+        lowers, uppers = _band_ends(data.sample, fits, alpha)
+        if not (all(map(math.isfinite, lowers + uppers)) and all(map(operator.lt, lowers, uppers))):
+            tests = CrossTests(alpha)
+            for source in pops:  # raises at the first band that fails
+                tests._cross_band(data.sample, source.sample, source.fit)
+        checked.add(pins)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("population,index,value,interval_source,lower,upper,is_outlier\n")
         fields = [_csv_field(p.sample.id) for p in pops]
-        for data, pid, row in zip(pops, fields, bands):
+        for data, pid in zip(pops, fields):
             values = data.sample.values
-            for source_id, band in zip(fields, row):
-                lower, upper = band.lower, band.upper
+            for source_id, lower, upper in zip(fields, *_band_ends(data.sample, fits, alpha)):
                 tail = f"{source_id},{lower!r},{upper!r},"
                 fh.writelines(
                     f"{pid},{idx},{v!r},{tail}{'true' if v < lower or v > upper else 'false'}\n"

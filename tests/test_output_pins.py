@@ -1,7 +1,8 @@
 """Byte pins for the outputs whose layout is fixed: the text and structured
 reports of every bundled study in every mode, the per-point plot data, and
-both reports of a small seeded study shaped like the benchmark's tall
-workload (few large populations, scales pinned, all of them pooled).
+both reports and the plot data of a small seeded study shaped like the
+benchmark's tall workload (few large populations, scales pinned, all of
+them pooled).
 
 The text and plot digests were taken before the structured report moved to
 schema 2 and acceptance bands became derived from their source parameters,
@@ -103,6 +104,11 @@ TALL = {
     "text": "bb6c5dd38cb8302ec7216f98ec0dec1639e25de6974c9d61d2f3b16faf51fb84",
 }
 
+# SHA-256 of the plot data of tall_shaped_study, whose distinct pinned
+# scales give every cell its own band; taken while each cell still built
+# an AcceptanceInterval.
+TALL_PLOT = "ff21b4bd28dff03758be74b0953a693049f3aeb0077fdf921cf66b87345f092a"
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -163,3 +169,12 @@ def test_tall_shaped_study_bytes(format, tmp_path):
             "--format", format, "--report", str(report)]
     assert main(argv) == 0
     assert sha256(report) == TALL[format]
+
+
+def test_tall_shaped_study_plot_bytes(tmp_path):
+    data, config = tall_shaped_study(tmp_path)
+    report, plot = tmp_path / "report.txt", tmp_path / "plot.csv"
+    argv = ["--data", str(data), "--config", str(config),
+            "--report", str(report), "--plot-data", str(plot)]
+    assert main(argv) == 0
+    assert sha256(plot) == TALL_PLOT

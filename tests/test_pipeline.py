@@ -167,8 +167,8 @@ def reference_ingest(data_path):
 
 
 _PADDING = st.sampled_from(["", " ", "  ", "\t"])
-_IDS = st.sampled_from(["a", "b", "c d", "x,y", 'q"t', "a\nb", "a\r\nb"])
-_PLAIN_IDS = st.sampled_from(["a", "b", "c d"])
+_IDS = st.sampled_from(["a", "b", "c d", "x,y", 'q"t', "a\nb", "a\r\nb", "\u00e9", "\u65e5\u672c"])
+_PLAIN_IDS = st.sampled_from(["a", "b", "c d", "\u00e9", "\u65e5\u672c"])
 _ODD_IDS = st.sampled_from(["", " ", "a\0", "\0\nb"])
 _NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -191,7 +191,8 @@ def _field(draw, content, clean, plain):
 @st.composite
 def data_files(draw):
     """CSV text in the data layout with the edge cases the reader must keep:
-    a byte order mark, blank lines, padding and CRLF line ends in every file;
+    a byte order mark, blank lines, padding, non-ASCII ids, and CRLF or
+    lone CR line ends in every file;
     quoted fields with separators, quotes and line breaks in the files that
     are not drawn plain (plain files quote only the fields that need it);
     digit separators, non-finite and non-numeric values, wrong field counts,
@@ -215,7 +216,7 @@ def data_files(draw):
         if kind == "three":
             fields.append(_field(draw, draw(_NUMBERS), clean, plain))
         lines.append(",".join(fields))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
@@ -320,6 +321,11 @@ class TestIngest:
     @example(text="population,value\n\ta\t,\t1\t\na ,2 \n", hint=1000)  # tab padding
     @example(text="population,value\na,1\na\0,2\nb,3\n", hint=1000)  # a NUL, on every version
     @example(text='population,value\na,1\n"a\nb\0\nc",2\n', hint=1000)  # a NUL inside a record
+    # one id over many blocks, each converted with one extend
+    @example(text="population,value\n" + "".join(f"a,{k}.5\n" for k in range(40)), hint=16)
+    # a line longer than a block between plain blocks
+    @example(text="population,value\na,1\nb,2\n" + "c" * 30 + ",3\nd,4\ne,5\n", hint=8)
+    @example(text="population,value\n a,1\na,2\n a,3\n", hint=1000)  # equal ids once stripped
     def test_block_ingest_matches_whole_file_reference(self, text, hint, tmp_path, monkeypatch):
         """Blocks of a few characters: most files span many blocks, and csv
         takes over in the middle of a file."""
@@ -338,6 +344,11 @@ class TestIngest:
         samples, _ = u.ingest(path)
         assert [(s.id, s.size) for s in samples] == [("a", 14), ("b", 7)]
         assert samples[0].values[7:9] == (0.5, 1.5)
+        # one id over many blocks
+        rows = [f"\u00e9 ,{k}.5" for k in range(50)]
+        path = write(tmp_path, "one.csv", "population,value\n" + "\n".join(rows) + end)
+        samples, _ = u.ingest(path)
+        assert [(s.id, s.values) for s in samples] == [("\u00e9", tuple(k + 0.5 for k in range(50)))]
 
 
 def assert_ingest_matches_reference(text, tmp_path):
@@ -1420,6 +1431,41 @@ class TestPlotData:
 
         # Rows held in a list before writing made the peak five times larger.
         assert peak(10) <= 1.1 * peak(1)
+
+    def test_the_first_band_that_fails_is_named(self, tmp_path):
+        # Row "a" is fine; row "b" fails against the fit of "a", before the
+        # file is opened, with the error the band table raises for it.
+        samples = [
+            PopulationSample("a", (1e-8, -1e-8, 2e-8, -2e-8), known_e=0.0),
+            PopulationSample("b", (1e16, 1e16 + 2, 1e16 - 2, 1e16 + 4), known_e=1e16),
+            PopulationSample("c", (3e-8, -3e-8, 1e-8, -1e-8), known_e=0.0),
+        ]
+        report = u.run_pipeline(samples, RunConfig(), mode="fit")
+        tests, pops = multi.CrossTests(report.alpha), report.populations
+        with pytest.raises(NumericError) as expected:
+            [tests._cross_band(d.sample, s.sample, s.fit) for d in pops for s in pops]
+        with pytest.raises(NumericError) as raised:
+            u.emit_plot_data(report, tmp_path / "plot.csv")
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value).startswith("population 'b' against the fit of 'a': ")
+        assert not (tmp_path / "plot.csv").exists()
+
+    def test_memory_does_not_grow_with_the_cells(self, tmp_path):
+        # Distinct pinned scales give every one of the 40,000 cells its own
+        # band; holding one band object per cell peaked at about 10 MB.
+        rng = random.Random(1)
+        samples = [
+            PopulationSample(f"p{k}", (rng.uniform(-1, 1), rng.uniform(-1, 1)), known_sigma=1 + k / 1000)
+            for k in range(200)
+        ]
+        report = u.run_pipeline(samples, RunConfig(), mode="fit")
+        tracemalloc.start()
+        try:
+            u.emit_plot_data(report, tmp_path / "plot.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rows_match_the_csv_writer_for_any_id(self, tmp_path):
         ids = ["x,y", 'q"t', "a\nb", "c\rd", "c\r\nd", " s ", "1"]
