@@ -95,9 +95,9 @@ def _file_key(path: str) -> tuple | None:
 
 
 def _check_paths(args: argparse.Namespace) -> None:
-    """Refuse an output file that is an input or the other output, or that
-    cannot be made: the outputs are written only after the run, so a failed
-    write would leave the output before it behind."""
+    """Refuse an empty path, and an output file that is an input or the other
+    output, or that cannot be made: the outputs are written only after the
+    run, so a failed write would leave the output before it behind."""
     named: dict[tuple, str] = {}
     for flag, path in (
         ("--data", args.data),
@@ -105,10 +105,14 @@ def _check_paths(args: argparse.Namespace) -> None:
         ("--report", args.report),
         ("--plot-data", args.plot_data),
     ):
-        key = _file_key(path) if path else None
+        if path is None:
+            continue
+        if not path:
+            raise ConfigurationError(f"{flag}: the path is empty")
+        key = _file_key(path)
         output = flag in ("--report", "--plot-data")
         if key is None:
-            if path and output:
+            if output:
                 raise ConfigurationError(f"{flag}: cannot make a file at {path}")
             continue
         if key in named and output:

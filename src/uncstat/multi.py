@@ -10,19 +10,21 @@ pair rejects overall homogeneity.  Because the worst-case belief degree of
 a union of independent wrong rejections is the maximum of the component
 levels, all component tests run at the same level as the overall test.
 
-The pairwise stage shares its work across pairs (:class:`CrossTests`): each
-band is built once per reference distribution, and every ordered pair of a
-group is decided when the table is built, one row per population.  A row
-sorts the population's candidates, the values outside the intersection of
-the bands it meets, once, and keeps two cut indices into them per band,
-found by bisection.  So a decision is two cuts and a comparison, and no
-record is built until one is read: :meth:`CrossTests.decide` builds the one
-it is asked for, and :meth:`CrossTests.pairwise` is a read-only sequence
-that builds each pair when it is read, both through one reader that shares
-a row's outlier tuples by cut.  The table holds at most :data:`PAIR_BUDGET`
-pairs.  Homogeneous groups are enumerated on neighbour bitsets by a clique
-search with a fixed work budget (:data:`CLIQUE_BUDGET`); a run builds the
-bitsets from its records, a reload from the table's cuts.
+The pairwise stage shares its work across pairs (:class:`CrossTests`): band
+ends are computed as numbers once per pin pattern (:func:`_cross_ends`, which
+the plot data reads too), and every ordered pair of a group is decided when
+the table is built, one row per population.  A row sorts the population's
+candidates, the values outside the intersection of the bands it meets,
+once, and keeps two cut indices into them per band, found by bisection.
+So a decision is two cuts and a comparison, and no record is built until
+one is read: :meth:`CrossTests.decide` builds the one it is asked for, and
+:meth:`CrossTests.pairwise` is a read-only sequence that builds each pair
+when it is read, both through one reader that shares a row's outlier
+tuples by cut and a pin pattern's band objects by column.  The table holds
+at most :data:`PAIR_BUDGET` pairs.  Homogeneous groups are enumerated on
+neighbour bitsets by a clique search with a fixed work budget
+(:data:`CLIQUE_BUDGET`); a run builds the bitsets from its records, a
+reload from the table's cuts.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, compress, islice, repeat, starmap
+from itertools import combinations, islice, repeat, starmap
 from typing import Iterator
 
 from .errors import ConfigurationError, NumericError
@@ -45,6 +47,7 @@ from .testing import (
     Record,
     TestDecision,
     acceptance_interval,
+    band_quantiles,
     rejection_threshold,
     test_against_interval,
 )
@@ -188,11 +191,11 @@ def _pinned(pop: PopulationSample) -> tuple[float | None, float | None]:
     return pop.known_e, pop.known_sigma
 
 
-def _reference(pop_i: PopulationSample, fit_j: NormalUncertain) -> tuple[float, float]:
-    """Reference ``pop_i``'s data is tested against: the parameters ``pop_i``
-    pins, the others from ``fit_j``."""
+def _references(pop_i: PopulationSample, fits: Sequence[NormalUncertain]) -> list[tuple]:
+    """The reference ``(e, sigma)`` of ``pop_i``'s data against each of
+    ``fits``: the parameters ``pop_i`` pins, the others from the fit."""
     e, sigma = _pinned(pop_i)
-    return fit_j.e if e is None else e, fit_j.sigma if sigma is None else sigma
+    return [(f.e if e is None else e, f.sigma if sigma is None else sigma) for f in fits]
 
 
 def cross_interval(
@@ -204,13 +207,40 @@ def cross_interval(
     ``pop_i`` pins are kept and the others come from ``fit_j``, so only the
     hypothesised equality is under test.
     """
-    return acceptance_interval(NormalUncertain(*_reference(pop_i, fit_j)), alpha)
+    (reference,) = _references(pop_i, (fit_j,))
+    return acceptance_interval(NormalUncertain(*reference), alpha)
+
+
+def _cross_band(
+    pop_i: PopulationSample, source: str, fit_j: NormalUncertain, alpha: float
+) -> AcceptanceInterval:
+    """:func:`cross_interval` of ``pop_i`` against ``fit_j``, the fit of the
+    population ``source``; a NumericError is raised again with both ids in front."""
+    try:
+        return cross_interval(pop_i, fit_j, alpha)
+    except NumericError as exc:
+        raise type(exc)(f"population {pop_i.id!r} against the fit of {source!r}: {exc}") from None
+
+
+def _cross_ends(
+    pop_i: PopulationSample, fits: Sequence[NormalUncertain], alpha: float
+) -> tuple[list[float], list[float], list[int]]:
+    """The lower and upper ends of ``pop_i``'s band against each of ``fits``,
+    bit for bit as :func:`cross_interval` builds them (``e + sigma * q``), and
+    the positions of the bands that double precision cannot hold: an end not
+    finite, or the lower end not below the upper one."""
+    q_lower, q_upper = band_quantiles(alpha)
+    refs = _references(pop_i, fits)
+    lowers = [m + s * q_lower for m, s in refs]
+    uppers = [m + s * q_upper for m, s in refs]
+    ends = enumerate(zip(lowers, uppers))
+    return lowers, uppers, [j for j, (lo, hi) in ends if not -math.inf < lo < hi < math.inf]
 
 
 # One row of a CrossTests table: the member's candidates (the values outside
 # the intersection of its bands) as 1-based positions sorted by value, each
-# column's two cuts of them, each column's band, the sample size, the
-# rejection threshold, and the outlier tuples its records share, by cut.
+# column's two cuts of them, its pin pattern's bands by column, the sample
+# size, the rejection threshold, and the outlier tuples its records share, by cut.
 _Row = namedtuple("_Row", "positions lows highs bands size threshold shared")
 
 # Maps the bytes 0 and 1 to the digits "0" and "1".
@@ -221,24 +251,24 @@ class CrossTests:
     """Cross-test decisions of one group of populations at one level.
 
     It carries the level only; each sample's pins decide its reference, as
-    in :func:`cross_interval`.  Bands are kept in a table keyed by their
-    reference distribution, so each is built once: in the both-unknown case
-    i's data against j's fit uses j's own band, and ``n`` bands serve all
-    ``n(n-1)`` cross-tests.
+    in :func:`cross_interval`.
 
     ``group`` holds ``(sample, fit)`` pairs, and every ordered pair of
     members is decided when the object is built, one row per member: its
-    decisions against every other member's fit.  A member meets one band per
-    other member, and a value inside their intersection ``[lo, hi]`` is
-    inside every one of them; so a row scans its member's values once for
-    the candidates, the values outside ``[lo, hi]``, sorted by value.  Each
-    band contains ``[lo, hi]``, so its outliers are the candidates below the
-    cut ``bisect_left`` finds at its lower end and from the cut
-    ``bisect_right`` finds at its upper end on.  A row keeps only its
-    candidates' positions and two cuts per column, and members with the same
-    pins share one list of bands; a column rejects when the cuts leave at
-    least the threshold outside.  No record is built until one is read, and
-    a row keeps the outlier tuples its records share, by cut.
+    decisions against every other member's fit.  Members with the same pins
+    meet the same bands, whose ends are computed once, as numbers
+    (:func:`_cross_ends`).  A member meets one band per other member, and a
+    value inside their intersection ``[lo, hi]`` is inside every one of
+    them; so a row scans its member's values once for the candidates, the
+    values outside ``[lo, hi]``, sorted by value.  Each band contains
+    ``[lo, hi]``, so its outliers are the candidates below the cut
+    ``bisect_left`` finds at its lower end and from the cut ``bisect_right``
+    finds at its upper end on.  A row keeps only its candidates' positions
+    and two cuts per column; a column rejects when the cuts leave at least
+    the threshold outside.  No record is built until one is read; a band
+    object is built when a record of its column is first read, shared by
+    the rows of one pin pattern, and a row keeps the outlier tuples its
+    records share, by cut.
 
     :meth:`decide` finds a member by the identity of its sample and another
     member by the identity of its fit, and reads their decision as
@@ -250,13 +280,14 @@ class CrossTests:
     A group with more than :data:`PAIR_BUDGET` pairs is a
     :class:`~uncstat.errors.ConfigurationError`, raised before any row is
     built, and so is a sample that pins both parameters, as it has nothing
-    to test.  A :class:`~uncstat.errors.NumericError` from a member's band
-    is raised again with both populations' ids in front of its message.
+    to test.  A band that double precision cannot hold is a
+    :class:`~uncstat.errors.NumericError` with both populations' ids in
+    front of its message, raised for the first such band in row order that
+    a row meets (a row does not meet its own member's fit).
     """
 
     def __init__(self, alpha: float, group: FittedGroup = ()) -> None:
         self.alpha = check_level(alpha)
-        self._bands: dict[tuple[float, float], AcceptanceInterval] = {}
         self._members = tuple(group)
         n = len(self._members)
         if n * (n - 1) // 2 > PAIR_BUDGET:
@@ -270,27 +301,22 @@ class CrossTests:
         # it lives.  A repeated sample or fit finds its last member.
         self._row_of = {id(sample): k for k, (sample, _) in enumerate(self._members)}
         self._column_of = {id(fit): j for j, (_, fit) in enumerate(self._members)}
-        # Per pinned (e, sigma): each column's band, lower and upper end, the
-        # ends infinite until a row needs the band.
-        by_pins: dict[tuple[float | None, float | None], tuple[list, list, list]] = {}
-        self._rows = [self._build_row(k, by_pins) for k in range(n)]
+        # Per pinned (e, sigma): the bands' lower and upper ends, the columns
+        # that fail, and the bands the pattern's records hold.
+        fits = [fit for _, fit in self._members]
+        by_pins: dict[tuple[float | None, float | None], tuple[list, list, list, dict]] = {}
+        self._rows = [self._build_row(k, fits, by_pins) for k in range(n)]
 
-    def _build_row(self, k: int, by_pins: dict[tuple, tuple[list, list, list]]) -> _Row:
+    def _build_row(self, k: int, fits: list[NormalUncertain], by_pins: dict) -> _Row:
         """Member ``k``'s row against every other member's fit."""
-        members = self._members
-        n = len(members)
-        sample = members[k][0]
+        sample = self._members[k][0]
         pins = _pinned(sample)
-        columns = by_pins.get(pins)
-        if columns is None:
-            columns = by_pins[pins] = [None] * n, [-math.inf] * n, [math.inf] * n
-        bands, lowers, uppers = columns
-        # After the first row of a pin pattern, at most that row's own column is missing.
-        for j in compress(range(n), map(operator.is_, bands, repeat(None))):
-            if j == k:
-                continue
-            band = self._cross_band(sample, *members[j])
-            bands[j], lowers[j], uppers[j] = band, band.lower, band.upper
+        if (columns := by_pins.get(pins)) is None:
+            columns = by_pins[pins] = (*_cross_ends(sample, fits, self.alpha), {})
+        lowers, uppers, failed, bands = columns
+        for j in failed:
+            if j != k:  # raises: the band is empty or not finite
+                _cross_band(sample, self._members[j][0].id, fits[j], self.alpha)
         # The intersection of the other columns' bands: the row's own column
         # is set to the whole line while the ends are taken.
         own = lowers[k], uppers[k]
@@ -302,35 +328,16 @@ class CrossTests:
         outside.sort(key=values.__getitem__)
         candidates = [values[i] for i in outside]
         # An endpoint value is inside: bisect_left stops before it at the
-        # lower end, bisect_right passes it at the upper end.  A missing
-        # band's infinite ends cut nothing off.
+        # lower end, bisect_right passes it at the upper end.
+        n = len(fits)
         lows = array("I", map(bisect_left, repeat(candidates, n), lowers))
         highs = array("I", map(bisect_right, repeat(candidates, n), uppers))
         threshold = rejection_threshold(len(values), self.alpha)
         return _Row([i + 1 for i in outside], lows, highs, bands, len(values), threshold, {})
 
     def band(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> AcceptanceInterval:
-        """The band :func:`cross_interval` gives, built on first use."""
-        return self._band_at(_reference(pop_i, fit_j))
-
-    def _cross_band(
-        self, sample: PopulationSample, source: PopulationSample, fit: NormalUncertain
-    ) -> AcceptanceInterval:
-        """:meth:`band` of ``sample`` against ``fit``, the fit of ``source``; a
-        NumericError is raised again with both populations' ids in front."""
-        try:
-            return self.band(sample, fit)
-        except NumericError as exc:
-            raise type(exc)(
-                f"population {sample.id!r} against the fit of {source.id!r}: {exc}"
-            ) from None
-
-    def _band_at(self, key: tuple[float, float]) -> AcceptanceInterval:
-        """The band of the reference ``(e, sigma)``, built on first use."""
-        band = self._bands.get(key)
-        if band is None:
-            band = self._bands[key] = acceptance_interval(NormalUncertain(*key), self.alpha)
-        return band
+        """The band :func:`cross_interval` gives."""
+        return cross_interval(pop_i, fit_j, self.alpha)
 
     def decide(self, pop_i: PopulationSample, fit_j: NormalUncertain) -> TestDecision:
         """Test ``pop_i``'s data against the band built from ``fit_j``."""
@@ -342,7 +349,8 @@ class CrossTests:
 
     def _decision(self, k: int, j: int) -> TestDecision:
         """Member ``k``'s decision against member ``j``'s fit, the one reader
-        of the table; records of a row share outlier tuples by cut."""
+        of the table; records of a row share outlier tuples by cut, and those
+        of a pin pattern the band of a column, built when first read."""
         positions, lows, highs, bands, size, threshold, shared = self._rows[k]
         low, high = lows[j], highs[j]
         if not low and high == len(positions):
@@ -352,8 +360,10 @@ class CrossTests:
             outliers += positions[high:]
             outliers.sort()
             outliers = shared[low, high] = tuple(outliers)
+        if (band := bands.get(j)) is None:
+            band = bands[j] = self.band(self._members[k][0], self._members[j][1])
         return tuple.__new__(
-            TestDecision, (bands[j], outliers, size, threshold, len(outliers) >= threshold)
+            TestDecision, (band, outliers, size, threshold, len(outliers) >= threshold)
         )
 
     def _pair(self, a: int, b: int) -> PairwiseDecision:

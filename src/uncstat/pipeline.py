@@ -26,13 +26,14 @@ from .multi import (
     FittedGroup,
     HomogeneityResult,
     ParameterCase,
+    _cross_band,
+    _cross_ends,
     _groups,
-    _pinned,
     homogeneity_test,
     resolve_case,
 )
 from .pooling import CommonTestResult, common_test
-from .testing import PopulationSample, TestDecision, band_quantiles, fit_and_verify
+from .testing import PopulationSample, TestDecision, _store_pins, band_quantiles, fit_and_verify
 from .udist import NormalUncertain
 
 __all__ = [
@@ -71,10 +72,10 @@ class PopulationConfig:
     def __post_init__(self) -> None:
         if not self.id:
             raise ConfigurationError("population id must be non-empty")
-        if self.known_sigma is not None and not self.known_sigma > 0.0:
-            raise ConfigurationError(
-                f"population {self.id!r}: known scale must be > 0, got {self.known_sigma!r}"
-            )
+        try:
+            _store_pins(self)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -875,48 +876,28 @@ def _csv_field(text: str) -> str:
     return out.getvalue()[:-1]
 
 
-def _band_ends(
-    sample: PopulationSample, fits: Sequence[NormalUncertain], alpha: float
-) -> tuple[list[float], list[float]]:
-    """The lower and upper ends of ``sample``'s band against each of
-    ``fits``, as :func:`~uncstat.multi.cross_interval` builds it and bit for
-    bit as :class:`~uncstat.testing.AcceptanceInterval` computes its ends:
-    ``e + sigma * q`` for the reference ``(e, sigma)``."""
-    q_lower, q_upper = band_quantiles(alpha)
-    e, sigma = _pinned(sample)
-    refs = [(f.e if e is None else e, f.sigma if sigma is None else sigma) for f in fits]
-    return [m + s * q_lower for m, s in refs], [m + s * q_upper for m, s in refs]
-
-
 def emit_plot_data(report: RunReport, out_path: str | Path) -> None:
     """Write long-format rows for external plotting: every data point against
     every parameter source of the homogeneity matrix, with its band and flag.
 
     Rows are written as they are made, and a band is kept only as its two
     ends, one row of them at a time, so memory grows with neither the rows
-    nor the cells.  Every band is checked first, one row per distinct pins,
-    so a band that fails leaves no file; its error is the one
-    :class:`~uncstat.multi.CrossTests` raises for it.
+    nor the cells.  Every band is checked first, so a band that fails leaves
+    no file; its error names the first such cell in row order, as
+    :class:`~uncstat.multi.CrossTests` names the ones it meets.
     """
     pops, alpha = report.populations, report.alpha
     fits = [p.fit for p in pops]
-    checked: set[tuple[float | None, float | None]] = set()
     for data in pops:
-        pins = data.sample.known_e, data.sample.known_sigma
-        if pins in checked:
-            continue  # the same pins give the same row of bands
-        lowers, uppers = _band_ends(data.sample, fits, alpha)
-        if not (all(map(math.isfinite, lowers + uppers)) and all(map(operator.lt, lowers, uppers))):
-            tests = CrossTests(alpha)
-            for source in pops:  # raises at the first band that fails
-                tests._cross_band(data.sample, source.sample, source.fit)
-        checked.add(pins)
+        if failed := _cross_ends(data.sample, fits, alpha)[2]:
+            _cross_band(data.sample, pops[failed[0]].sample.id, fits[failed[0]], alpha)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("population,index,value,interval_source,lower,upper,is_outlier\n")
         fields = [_csv_field(p.sample.id) for p in pops]
         for data, pid in zip(pops, fields):
             values = data.sample.values
-            for source_id, lower, upper in zip(fields, *_band_ends(data.sample, fits, alpha)):
+            lowers, uppers, _ = _cross_ends(data.sample, fits, alpha)
+            for source_id, lower, upper in zip(fields, lowers, uppers):
                 tail = f"{source_id},{lower!r},{upper!r},"
                 fh.writelines(
                     f"{pid},{idx},{v!r},{tail}{'true' if v < lower or v > upper else 'false'}\n"

@@ -66,26 +66,7 @@ class PopulationSample:
         # only then, or when a value is not finite, is each value looked at.
         if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise ValueError(f"population {self.id!r} contains non-finite values")
-        for name in ("known_e", "known_sigma"):
-            pin = getattr(self, name)
-            if pin is None:
-                continue
-            if type(pin) is not int and not isinstance(pin, float):
-                raise TypeError(
-                    f"population {self.id!r}: {name} must be int or float, "
-                    f"got {type(pin).__name__} {pin!r}"
-                )
-            try:
-                pin = float(pin)
-            except OverflowError:  # an int beyond the largest double
-                pin = math.inf
-            if not math.isfinite(pin):
-                raise ValueError(f"population {self.id!r}: {name} must be finite, got {pin!r}")
-            object.__setattr__(self, name, pin)
-        if self.known_sigma is not None and not self.known_sigma > 0.0:
-            raise ValueError(
-                f"population {self.id!r}: known scale must be > 0, got {self.known_sigma!r}"
-            )
+        _store_pins(self)
 
     @property
     def size(self) -> int:
@@ -95,6 +76,29 @@ class PopulationSample:
     def pins(self) -> tuple[bool, bool]:
         """Whether the location and the scale are pinned."""
         return self.known_e is not None, self.known_sigma is not None
+
+
+def _store_pins(pop: object) -> None:
+    """Store ``pop``'s pins as floats: each an int or float but not a bool,
+    finite as a double, and the scale above 0.  Raises TypeError or
+    ValueError naming the population and the pin."""
+    for name in ("known_e", "known_sigma"):
+        if (pin := getattr(pop, name)) is None:
+            continue
+        if type(pin) is not int and not isinstance(pin, float):
+            raise TypeError(
+                f"population {pop.id!r}: {name} must be int or float, "
+                f"got {type(pin).__name__} {pin!r}"
+            )
+        try:
+            value = float(pin)
+        except OverflowError:  # an int beyond the largest double
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"population {pop.id!r}: {name} must be finite, got {value!r}")
+        if name == "known_sigma" and not value > 0.0:
+            raise ValueError(f"population {pop.id!r}: known scale must be > 0, got {value!r}")
+        object.__setattr__(pop, name, value)
 
 
 @dataclass(frozen=True)

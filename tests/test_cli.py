@@ -456,6 +456,18 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "tm.csv", "tm.json"]
         assert not any((tmp_path / "dir").iterdir())
 
+    @pytest.mark.parametrize("flag", ["--data", "--config", "--report", "--plot-data"])
+    def test_an_empty_path_is_two_before_ingest(self, study, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(u.cli, "ingest", lambda *args: pytest.fail("ingest ran"))
+        paths = {"--data": study[0], "--config": study[1], "--report": tmp_path / "r.txt",
+                 "--plot-data": tmp_path / "p.csv"}
+        paths[flag] = ""
+        assert run([a for item in paths.items() for a in item]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"uncstat: error: {flag}: the path is empty\n" and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tm.csv", "tm.json"]
+
     def test_distinct_outputs_are_written(self, study, tmp_path):
         argv = ["--data", study[0], "--config", study[1], "--report", tmp_path / "r.txt",
                 "--plot-data", tmp_path / "p.csv"]

@@ -2,7 +2,7 @@ import copy
 import pickle
 import re
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -627,7 +627,6 @@ class TestCrossTests:
         fit = NormalUncertain(4.948, 9.9)
         band = tests.band(samples[2], fit)
         assert band == cross_interval(samples[2], fit, 0.05)
-        assert tests.band(samples[2], fit) is band
 
     def test_homogeneity_calls_pairwise_test_once_per_pair(self, toothmarks):
         samples, _ = toothmarks
@@ -659,6 +658,63 @@ class TestCrossTests:
         for walk in (cells(tests.pairwise()), indexed, made):
             assert walk == first
             assert all(d.outlier_indices is e.outlier_indices for d, e in zip(walk, first))
+
+    def test_a_pin_pattern_shares_one_band_per_column(self):
+        # Scales pinned to three values, so rows 0, 1 and 3 share their bands.
+        samples = [
+            PopulationSample(f"p{k}", tuple(k / 2 + x / 4 for x in range(-8, 9)), known_sigma=s)
+            for k, s in enumerate((1.0, 1.0, 2.0, 1.0, 3.0))
+        ]
+        group = fitted(samples)
+        tests = CrossTests(0.05, group)
+        shared = {}
+        for _ in range(2):
+            for pair in tests.pairwise():
+                for (k, j), decision in zip([(pair.i, pair.j), (pair.j, pair.i)], pair[2:4]):
+                    sample, fit = group[int(k[1:])][0], group[int(j[1:])][1]
+                    assert decision.interval == cross_interval(sample, fit, 0.05)
+                    band = shared.setdefault((sample.known_sigma, j), decision.interval)
+                    assert decision.interval is band
+        # One-member patterns never read their own column.
+        assert len(shared) == 5 + 4 + 4
+
+    @staticmethod
+    def pinned_group(*members):
+        """(sample, fit) pairs of samples that pin a location, with given fits."""
+        return [
+            (PopulationSample(pid, (1.0, 2.0, 3.0), known_e=e), NormalUncertain(e, sigma))
+            for pid, e, sigma in members
+        ]
+
+    def test_the_first_failing_cell_in_row_order_is_named(self):
+        # Bands of a location of 1e16 or 2e16 are empty against a scale of
+        # 1e-8; a scale of 5 holds.  d's own column fails as well.
+        group = self.pinned_group(
+            ("a", 0.0, 1e-8), ("b", 1e16, 5.0), ("c", 0.0, 1e-8), ("d", 2e16, 1e-8), ("e", 2e16, 5.0)
+        )
+
+        def first_failure(order):
+            for pop, _ in order:
+                for source, fit in order:
+                    try:
+                        if source is not pop:
+                            cross_interval(pop, fit, 0.05)
+                    except NumericError as exc:
+                        return f"population {pop.id!r} against the fit of {source.id!r}: {exc}"
+
+        for order in permutations(group):
+            with pytest.raises(NumericError) as raised:
+                CrossTests(0.05, order)
+            assert str(raised.value) == first_failure(order)
+
+    def test_an_own_column_fails_only_when_another_row_reads_it(self):
+        # d's band against its own fit is empty.  A row never reads its own
+        # column, but e pins what d pins and so reads d's column.
+        alone = self.pinned_group(("a", 0.0, 5.0), ("d", 2e16, 1e-8))
+        tests = CrossTests(0.05, alone)
+        assert [p.homogeneous for p in tests.pairwise()] == [False]
+        with pytest.raises(NumericError, match=r"^population 'e' against the fit of 'd': "):
+            CrossTests(0.05, alone + self.pinned_group(("e", 2e16, 5.0)))
 
     def test_a_sample_outside_the_group_is_scanned(self):
         group = fitted([PopulationSample(pid, (1.0, 2.0, 3.0, 4.0)) for pid in "abcd"])

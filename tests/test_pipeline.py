@@ -102,6 +102,28 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_dict(json.loads(document))
 
+    # A library caller's pins follow the rule PopulationSample applies.
+    @pytest.mark.parametrize(
+        "name, pin, message",
+        [
+            ("known_e", math.nan, "known_e must be finite, got nan"),
+            ("known_e", math.inf, "known_e must be finite, got inf"),
+            ("known_e", 10**400, "known_e must be finite, got inf"),
+            ("known_e", True, "known_e must be int or float, got bool True"),
+            ("known_e", "3", "known_e must be int or float, got str '3'"),
+            ("known_sigma", "2", "known_sigma must be int or float, got str '2'"),
+            ("known_sigma", -math.inf, "known_sigma must be finite, got -inf"),
+            ("known_sigma", 0, "known scale must be > 0, got 0.0"),
+            ("known_sigma", -1.5, "known scale must be > 0, got -1.5"),
+        ],
+    )
+    def test_population_config_checks_its_pins(self, name, pin, message):
+        with pytest.raises(ConfigurationError) as raised:
+            PopulationConfig("a", **{name: pin})
+        assert str(raised.value) == f"population 'a': {message}"
+        assert PopulationConfig("a", **{name: 3}) == PopulationConfig("a", **{name: 3.0})
+        assert type(getattr(PopulationConfig("a", **{name: 3}), name)) is float
+
     def test_integer_too_long_to_read(self, tmp_path):
         # Past Python's limit on converting digit strings to int, json raises
         # ValueError; versions without the limit read the number as infinite.
@@ -736,6 +758,25 @@ class TestReportSerialisation:
                 tracemalloc.stop()
 
         assert (held(document)[0] - held(without)[0]) / len(pairwise) < 200
+
+    def test_memory_of_a_reload_does_not_grow_with_distinct_pins(self):
+        # Distinct pinned scales give every one of the 40,000 cells its own
+        # band; a table that held one band object per cell kept about 10.8 MB.
+        rng = random.Random(1)
+        samples = [
+            PopulationSample(f"p{k}", (rng.uniform(-1, 1), rng.uniform(-1, 1)), known_sigma=1 + k / 1000)
+            for k in range(200)
+        ]
+        report = u.run_pipeline(samples, RunConfig(), mode="homogeneity")
+        document = u.emit_report(report, "structured")
+        tracemalloc.start()
+        try:
+            parsed = u.parse_report(document)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.homogeneity.pairwise) == 19_900
+        assert held < 2_000_000
 
     def test_reload_builds_no_decision_until_its_pairs_are_read(self, toothmarks):
         samples, config = toothmarks
@@ -1441,13 +1482,33 @@ class TestPlotData:
             PopulationSample("c", (3e-8, -3e-8, 1e-8, -1e-8), known_e=0.0),
         ]
         report = u.run_pipeline(samples, RunConfig(), mode="fit")
-        tests, pops = multi.CrossTests(report.alpha), report.populations
+        pops = report.populations
         with pytest.raises(NumericError) as expected:
-            [tests._cross_band(d.sample, s.sample, s.fit) for d in pops for s in pops]
+            [multi._cross_band(d.sample, s.sample.id, s.fit, report.alpha)
+             for d in pops for s in pops]
         with pytest.raises(NumericError) as raised:
             u.emit_plot_data(report, tmp_path / "plot.csv")
         assert str(raised.value) == str(expected.value)
         assert str(raised.value).startswith("population 'b' against the fit of 'a': ")
+        assert not (tmp_path / "plot.csv").exists()
+
+    def test_a_failing_band_is_named_as_the_table_names_it(self, tmp_path):
+        # Rows b and d pin a location of 1e16 and fail against the fits of a
+        # and c; the first such cell in row order is d against c.
+        samples = [
+            PopulationSample("c", (3e-8, -3e-8, 1e-8, -1e-8), known_e=0.0),
+            PopulationSample("d", (1e16, 1e16 + 4, 1e16 - 4, 1e16 + 8), known_e=1e16),
+            PopulationSample("a", (1e-8, -1e-8, 2e-8, -2e-8), known_e=0.0),
+            PopulationSample("b", (1e16, 1e16 + 2, 1e16 - 2, 1e16 + 4), known_e=1e16),
+        ]
+        report = u.run_pipeline(samples, RunConfig(), mode="fit")
+        group = [(p.sample, p.fit) for p in report.populations]
+        with pytest.raises(NumericError) as expected:
+            multi.CrossTests(report.alpha, group)
+        with pytest.raises(NumericError) as raised:
+            u.emit_plot_data(report, tmp_path / "plot.csv")
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value).startswith("population 'd' against the fit of 'c': ")
         assert not (tmp_path / "plot.csv").exists()
 
     def test_memory_does_not_grow_with_the_cells(self, tmp_path):
