@@ -21,14 +21,11 @@ from .multi import (
     ufwer,
 )
 from .pipeline import (
-    PopulationConfig,
     RunConfig,
     RunReport,
     emit_plot_data,
     emit_report,
-    export_data,
     ingest,
-    load_config,
     parse_report,
     run_pipeline,
 )
@@ -58,7 +55,6 @@ from .udist import (
     cdf,
     check_level,
     fit_moments,
-    nonembedded_check,
     quantile,
     std_quantile,
 )
@@ -73,7 +69,6 @@ __all__ = [
     "quantile",
     "std_quantile",
     "fit_moments",
-    "nonembedded_check",
     "check_level",
     # single-population testing
     "PopulationSample",
@@ -105,16 +100,13 @@ __all__ = [
     "merge_group",
     "common_test",
     # pipeline
-    "PopulationConfig",
     "RunConfig",
     "RunReport",
-    "load_config",
     "ingest",
     "resolve_case",
     "run_pipeline",
     "emit_report",
     "parse_report",
-    "export_data",
     "emit_plot_data",
     # errors
     "ConfigurationError",

@@ -302,10 +302,18 @@ class CrossTests:
         self._row_of = {id(sample): k for k, (sample, _) in enumerate(self._members)}
         self._column_of = {id(fit): j for j, (_, fit) in enumerate(self._members)}
         # Per pinned (e, sigma): the bands' lower and upper ends, the columns
-        # that fail, and the bands the pattern's records hold.
+        # that fail, and the bands the pattern's records hold.  A pattern's
+        # ends are dropped after its last row, so members that each pin
+        # their own scale hold one member's ends at a time, not all n.
         fits = [fit for _, fit in self._members]
+        pins = [_pinned(sample) for sample, _ in self._members]
+        last = {p: k for k, p in enumerate(pins)}
         by_pins: dict[tuple[float | None, float | None], tuple[list, list, list, dict]] = {}
-        self._rows = [self._build_row(k, fits, by_pins) for k in range(n)]
+        self._rows = []
+        for k, p in enumerate(pins):
+            self._rows.append(self._build_row(k, fits, by_pins))
+            if last[p] == k:
+                del by_pins[p]
 
     def _build_row(self, k: int, fits: list[NormalUncertain], by_pins: dict) -> _Row:
         """Member ``k``'s row against every other member's fit."""

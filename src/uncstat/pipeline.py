@@ -13,7 +13,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
 from itertools import chain, compress, count, islice
@@ -33,23 +33,20 @@ from .multi import (
     resolve_case,
 )
 from .pooling import CommonTestResult, common_test
-from .testing import PopulationSample, TestDecision, _store_pins, band_quantiles, fit_and_verify
+from .testing import PopulationSample, TestDecision, _checked_pin, band_quantiles, fit_and_verify
 from .udist import NormalUncertain
 
 __all__ = [
-    "PopulationConfig",
     "RunConfig",
     "PopulationReport",
     "RunReport",
     "MODES",
     "SCHEMA_VERSION",
-    "load_config",
     "ingest",
     "resolve_case",
     "run_pipeline",
     "emit_report",
     "parse_report",
-    "export_data",
     "emit_plot_data",
 ]
 
@@ -62,42 +59,25 @@ MODES = ("pipeline", "fit", "homogeneity", "common")
 
 
 @dataclass(frozen=True)
-class PopulationConfig:
-    """Declared identity and optional pinned parameters of one population."""
-
-    id: str
-    known_e: float | None = None
-    known_sigma: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ConfigurationError("population id must be non-empty")
-        try:
-            _store_pins(self)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(str(exc)) from None
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs besides the data itself."""
+    """A run's settings besides the data; the pins are on the samples."""
 
     alpha: float = 0.05
-    populations: tuple[PopulationConfig, ...] = ()
     group_selection: tuple[str, ...] | None = None
     theta0_override: NormalUncertain | None = None
 
     def __post_init__(self) -> None:
         band_quantiles(self.alpha)
-        ids = [p.id for p in self.populations]
-        if len(set(ids)) != len(ids):
-            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-            raise ConfigurationError(f"duplicate population ids in config: {dupes}")
         if self.group_selection is not None:
             if not self.group_selection:
                 raise ConfigurationError("group selection must name at least one population")
             if len(set(self.group_selection)) != len(self.group_selection):
                 raise ConfigurationError("group selection repeats a population id")
+
+
+# A population's (known_e, known_sigma), None where a parameter is not pinned.
+_Pins = tuple[float | None, float | None]
+_PIN_KEYS = ("known_e", "known_sigma")
 
 
 def _number(value: Any, what: str) -> float:
@@ -113,8 +93,9 @@ def _number(value: Any, what: str) -> float:
     return number
 
 
-def config_from_dict(obj: Any) -> RunConfig:
-    """Build a :class:`RunConfig` from a parsed key/value tree, strictly."""
+def _read_config(obj: Any) -> tuple[RunConfig, dict[str, _Pins]]:
+    """A run's settings, and the pins of each population the tree declares,
+    by id in the order declared, from a parsed key/value tree, strictly."""
     if not isinstance(obj, dict):
         raise ConfigurationError("config root must be a key/value mapping")
     allowed = {"alpha", "populations", "group_selection", "theta0"}
@@ -125,19 +106,30 @@ def config_from_dict(obj: Any) -> RunConfig:
     entries = obj.get("populations", [])
     if not isinstance(entries, list):
         raise ConfigurationError("populations must be a list")
-    populations = []
+    declared: dict[str, _Pins] = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigurationError("each population entry must be a mapping")
-        extra = sorted(set(entry) - {"id", "known_e", "known_sigma"})
+        extra = sorted(set(entry) - {"id", *_PIN_KEYS})
         if extra:
             raise ConfigurationError(f"unknown population keys: {extra}")
         if "id" not in entry:
             raise ConfigurationError("population entry lacks an id")
-        if not isinstance(entry["id"], str):
-            raise ConfigurationError(f"population id must be a string, got {entry['id']!r}")
-        pins = {k: _number(v, k) for k, v in entry.items() if k != "id" and v is not None}
-        populations.append(PopulationConfig(id=entry["id"], **pins))
+        pid = entry["id"]
+        if not isinstance(pid, str):
+            raise ConfigurationError(f"population id must be a string, got {pid!r}")
+        if not pid:
+            raise ConfigurationError("population id must be non-empty")
+        try:
+            declared[pid] = tuple(
+                _checked_pin(pid, k, None if entry.get(k) is None else _number(entry[k], k))
+                for k in _PIN_KEYS
+            )
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
+    if len(declared) != len(entries):
+        dupes = sorted(i for i, n in Counter(e["id"] for e in entries).items() if n > 1)
+        raise ConfigurationError(f"duplicate population ids in config: {dupes}")
 
     theta0 = None
     if obj.get("theta0") is not None:
@@ -155,39 +147,23 @@ def config_from_dict(obj: Any) -> RunConfig:
     ):
         raise ConfigurationError(f"group_selection must be a list of population ids, got {group!r}")
     try:
-        return RunConfig(
+        config = RunConfig(
             alpha=_number(obj.get("alpha", 0.05), "alpha"),
-            populations=tuple(populations),
             group_selection=None if group is None else tuple(group),
             theta0_override=theta0,
         )
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
+    return config, declared
 
 
-def config_to_dict(config: RunConfig) -> dict[str, Any]:
-    return {
-        "alpha": config.alpha,
-        "populations": [
-            {"id": p.id, "known_e": p.known_e, "known_sigma": p.known_sigma}
-            for p in config.populations
-        ],
-        "group_selection": None
-        if config.group_selection is None
-        else list(config.group_selection),
-        "theta0": None
-        if config.theta0_override is None
-        else {"e": config.theta0_override.e, "sigma": config.theta0_override.sigma},
-    }
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config file into a validated :class:`RunConfig`."""
+def _load_config(path: str | Path) -> tuple[RunConfig, dict[str, _Pins]]:
+    """Read a JSON config file as :func:`_read_config` reads its tree."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config is not UTF-8 text: {exc.reason}") from None
-    return config_from_dict(_read_json(text, ConfigurationError, "config"))
+    return _read_config(_read_json(text, ConfigurationError, "config"))
 
 
 def _read_json(text: str, error: type[ValueError], noun: str) -> Any:
@@ -357,31 +333,22 @@ def _add_rows(reader: Any, first: int, by_id: dict[str, list[float]]) -> None:
         raise DataFormatError(f"line {offset + reader.line_num}: {exc}") from None
 
 
-_Pins = tuple[float | None, float | None]
-
-
-def _join(
-    config: RunConfig, ids: Sequence[str], pins: Sequence[_Pins] | None = None
-) -> list[_Pins]:
-    """The one rule that joins a run's config to its data: every declared or
-    selected id has data, and a declared population's pins are its sample's
-    ``pins``, taken from the config when not given.  Returns each id's pins.
-    """
-    declared = {p.id: (p.known_e, p.known_sigma) for p in config.populations}
-    missing = sorted(set(declared).difference(ids))
+def _pinned_samples(
+    columns: Sequence[tuple[str, Any]], declared: dict[str, _Pins]
+) -> list[PopulationSample]:
+    """A sample per ``(id, values)`` of ``columns``, with the pins a config
+    ``declared`` for its id; every declared id must have data."""
+    missing = sorted(set(declared).difference(pid for pid, _ in columns))
     if missing:
         raise ConfigurationError(f"populations declared in config but absent from data: {missing}")
-    pins = [declared.get(pid, (None, None)) for pid in ids] if pins is None else pins
-    for pid, own in zip(ids, pins):
-        if declared.get(pid, own) != own:
-            raise ConfigurationError(
-                f"population {pid!r}: its sample pins (known_e, known_sigma) = {own!r}, "
-                f"but the config pins {declared[pid]!r}"
-            )
+    return [PopulationSample(pid, v, *declared.get(pid, (None, None))) for pid, v in columns]
+
+
+def _check_selection(config: RunConfig, ids: Sequence[str]) -> None:
+    """Every id the group selection names has data."""
     unknown = sorted(set(config.group_selection or ()).difference(ids))
     if unknown:
         raise ConfigurationError(f"group selection names unknown populations: {unknown}")
-    return list(pins)
 
 
 def ingest(
@@ -390,11 +357,12 @@ def ingest(
     """Read long-format data (``population,value`` rows) plus optional config.
 
     Returns one sample per distinct population id, values in file order,
-    populations ordered by first appearance.  Ids declared in the config but
-    absent from the data are an error; ids present only in the data are
-    included with no pinned parameters.
+    populations ordered by first appearance, each with the pins the config
+    declares for it, and the config's settings.  An id the config declares
+    or selects but the data lacks is an error; ids present only in the data
+    are included with no pinned parameters.
     """
-    config = load_config(config_path) if config_path is not None else RunConfig()
+    config, declared = _load_config(config_path) if config_path is not None else (RunConfig(), {})
 
     try:
         by_id = _read_columns(data_path)
@@ -403,8 +371,8 @@ def ingest(
     if not by_id:
         raise DataFormatError("data file contains a header but no rows")
 
-    pins = _join(config, list(by_id))
-    samples = [PopulationSample(pid, v, *p) for (pid, v), p in zip(by_id.items(), pins)]
+    samples = _pinned_samples(list(by_id.items()), declared)
+    _check_selection(config, list(by_id))
     return samples, config
 
 
@@ -428,7 +396,7 @@ class RunReport:
     and the warnings are derived from it."""
 
     mode: str
-    config: RunConfig  # as run: its populations are those that pin, in sample order
+    config: RunConfig
     populations: tuple[PopulationReport, ...]
     homogeneity: HomogeneityResult | None
     common: CommonTestResult | None
@@ -519,9 +487,7 @@ def _run(
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("population ids must be unique")
-    _join(config, ids, [(s.known_e, s.known_sigma) for s in samples])
-    pinned = [PopulationConfig(s.id, s.known_e, s.known_sigma) for s in samples if any(s.pins)]
-    config = replace(config, populations=tuple(pinned))
+    _check_selection(config, ids)
 
     populations = []
     for s in samples:
@@ -574,19 +540,34 @@ _POPULATION_KEYS = ("id", "values")
 
 
 def report_to_dict(report: RunReport) -> dict[str, Any]:
-    """Versioned tree of a run's inputs: the mode, config (the one place of
-    the pins) and data that :func:`report_from_dict` runs the pipeline's
-    stages on again.
+    """Versioned tree of a run's inputs: the mode, config and data that
+    :func:`report_from_dict` runs the pipeline's stages on again.  The
+    config lists the pins of each sample that pins a parameter, in sample
+    order, and the population entries hold ids and values only.
     """
     populations = list(map(_population_entry, report.populations))
     return {**_report_head(report), "populations": populations}
 
 
 def _report_head(report: RunReport) -> dict[str, Any]:
+    config, samples = report.config, [p.sample for p in report.populations]
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": report.mode,
-        "config": config_to_dict(report.config),
+        "config": {
+            "alpha": config.alpha,
+            "populations": [
+                {"id": s.id, "known_e": s.known_e, "known_sigma": s.known_sigma}
+                for s in samples
+                if any(s.pins)
+            ],
+            "group_selection": None
+            if config.group_selection is None
+            else list(config.group_selection),
+            "theta0": None
+            if config.theta0_override is None
+            else {"e": config.theta0_override.e, "sigma": config.theta0_override.sigma},
+        },
     }
 
 
@@ -623,7 +604,7 @@ def _check_keys(obj: Any, keys: tuple[str, ...], what: str) -> None:
 
 def _report_from_dict(obj: dict[str, Any]) -> RunReport:
     _check_keys(obj, _REPORT_KEYS, "report")
-    config = config_from_dict(obj["config"])
+    config, declared = _read_config(obj["config"])
     entries = obj["populations"]
     if not isinstance(entries, list):
         raise ValueError("populations must be a list")
@@ -631,17 +612,13 @@ def _report_from_dict(obj: dict[str, Any]) -> RunReport:
         _check_keys(entry, _POPULATION_KEYS, "population entry")
         if not isinstance(entry["id"], str):
             raise ValueError(f"population id must be a string, got {entry['id']!r}")
-    ids = [entry["id"] for entry in entries]
-    samples = [
-        PopulationSample(pid, entry["values"], *pins)
-        for pid, entry, pins in zip(ids, entries, _join(config, ids))
-    ]
-    report = _run(samples, config, obj["mode"], _rederive_homogeneity)
-    if report.config != config:
+    samples = _pinned_samples([(entry["id"], entry["values"]) for entry in entries], declared)
+    # As the writer lists them; a repeated id is left to the run's own check.
+    if list(dict.fromkeys(s.id for s in samples if any(s.pins))) != list(declared):
         raise ValueError(
             "config.populations must list each population that pins a parameter, in sample order"
         )
-    return report
+    return _run(samples, config, obj["mode"], _rederive_homogeneity)
 
 
 def _rederive_homogeneity(group: FittedGroup, alpha: float) -> HomogeneityResult:
@@ -856,17 +833,6 @@ def emit_report(report: RunReport, format: str = "text") -> str:
 def parse_report(document: str) -> RunReport:
     """Parse a structured report document back into a :class:`RunReport`."""
     return report_from_dict(_read_json(document, DataFormatError, "report"))
-
-
-def export_data(report: RunReport) -> str:
-    """Reconstruct the ingested data file from the report's echo."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["population", "value"])
-    for p in report.populations:
-        for v in p.sample.values:
-            writer.writerow([p.sample.id, repr(v)])
-    return out.getvalue()
 
 
 def _csv_field(text: str) -> str:

@@ -66,7 +66,8 @@ class PopulationSample:
         # only then, or when a value is not finite, is each value looked at.
         if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise ValueError(f"population {self.id!r} contains non-finite values")
-        _store_pins(self)
+        for name in ("known_e", "known_sigma"):
+            object.__setattr__(self, name, _checked_pin(self.id, name, getattr(self, name)))
 
     @property
     def size(self) -> int:
@@ -78,27 +79,25 @@ class PopulationSample:
         return self.known_e is not None, self.known_sigma is not None
 
 
-def _store_pins(pop: object) -> None:
-    """Store ``pop``'s pins as floats: each an int or float but not a bool,
-    finite as a double, and the scale above 0.  Raises TypeError or
-    ValueError naming the population and the pin."""
-    for name in ("known_e", "known_sigma"):
-        if (pin := getattr(pop, name)) is None:
-            continue
-        if type(pin) is not int and not isinstance(pin, float):
-            raise TypeError(
-                f"population {pop.id!r}: {name} must be int or float, "
-                f"got {type(pin).__name__} {pin!r}"
-            )
-        try:
-            value = float(pin)
-        except OverflowError:  # an int beyond the largest double
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"population {pop.id!r}: {name} must be finite, got {value!r}")
-        if name == "known_sigma" and not value > 0.0:
-            raise ValueError(f"population {pop.id!r}: known scale must be > 0, got {value!r}")
-        object.__setattr__(pop, name, value)
+def _checked_pin(pid: str, name: str, pin: object) -> float | None:
+    """Population ``pid``'s pin ``name`` as a float, or None if not pinned:
+    an int or float but not a bool, finite as a double, and a scale above 0.
+    Raises TypeError or ValueError naming the population and the pin."""
+    if pin is None:
+        return None
+    if type(pin) is not int and not isinstance(pin, float):
+        raise TypeError(
+            f"population {pid!r}: {name} must be int or float, got {type(pin).__name__} {pin!r}"
+        )
+    try:
+        value = float(pin)
+    except OverflowError:  # an int beyond the largest double
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"population {pid!r}: {name} must be finite, got {value!r}")
+    if name == "known_sigma" and not value > 0.0:
+        raise ValueError(f"population {pid!r}: known scale must be > 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,15 @@
 The belief that a population does not exceed ``z`` follows the logistic-shaped
 curve ``Phi(z) = (1 + exp(pi*(e - z)/(sqrt(3)*sigma)))**-1`` with location
 ``e`` and scale ``sigma``.  This module provides that belief function, its
-inverse (quantile) function, the standard quantile, moment estimation from
-observed data, and a numeric witness for the nonembeddedness of one quantile
-envelope in another.
+inverse (quantile) function, the standard quantile, and moment estimation
+from observed data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateSampleError, NumericError
 
@@ -24,7 +23,6 @@ __all__ = [
     "quantile",
     "std_quantile",
     "fit_moments",
-    "nonembedded_check",
 ]
 
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -143,34 +141,3 @@ def fit_moments(
                 "or provide data with at least two distinct values"
             )
     return NormalUncertain(e, sigma)
-
-
-def nonembedded_check(
-    inv_null: Callable[[float], float],
-    inv_alt: Callable[[float], float],
-    alpha: float,
-    grid_size: int = 100,
-) -> bool:
-    """Numeric witness that ``inv_alt`` escapes the quantile envelope of ``inv_null``.
-
-    Evaluates the two strict inequalities
-
-        ``inv_null(b) > inv_alt(b)``  or  ``inv_alt(1 - b) > inv_null(1 - b)``
-
-    on the equispaced grid ``b_k = (k / grid_size) * (alpha / 2)`` for
-    ``k = 1..grid_size`` and reports whether any grid point satisfies either.
-    A True result exhibits a concrete witness; a False result is only a
-    failure to find one on this grid, not a proof that none exists.
-
-    For the normal family the property always holds, so this predicate is a
-    diagnostic; the test pipeline does not gate on it.
-    """
-    check_level(alpha)
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size!r}")
-    half = alpha / 2.0
-    for k in range(1, grid_size + 1):
-        beta = (k / grid_size) * half
-        if inv_null(beta) > inv_alt(beta) or inv_alt(1.0 - beta) > inv_null(1.0 - beta):
-            return True
-    return False

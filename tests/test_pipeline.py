@@ -24,13 +24,12 @@ from uncstat import (
     NormalUncertain,
     NumericError,
     ParameterCase,
-    PopulationConfig,
     PopulationSample,
     RunConfig,
     cross_interval,
 )
 from uncstat import multi, pipeline, testing
-from uncstat.pipeline import MODES, _fmt3, _fmt_interval, config_from_dict, config_to_dict
+from uncstat.pipeline import MODES, _fmt3, _fmt_interval, _load_config, _read_config
 from test_multi import CASE_PATTERN, PIN_PATTERNS
 
 
@@ -51,38 +50,57 @@ def tied_clique_samples():
     ]
 
 
+def read_settings(obj):
+    """The settings of a config tree, which must declare no population."""
+    config, declared = _read_config(obj)
+    assert declared == {}
+    return config
+
+
 class TestConfig:
-    def test_round_trip(self):
-        config = RunConfig(
-            alpha=0.01,
-            populations=(PopulationConfig("a", known_e=1.0), PopulationConfig("b", known_e=2.0)),
-            group_selection=("a", "b"),
-            theta0_override=NormalUncertain(0.0, 2.0),
+    def test_settings_and_pins(self):
+        config, declared = _read_config(
+            {
+                "alpha": 0.01,
+                "populations": [
+                    {"id": "b", "known_e": 2},
+                    {"id": "a", "known_e": 1.0, "known_sigma": None},
+                    {"id": "c"},
+                ],
+                "group_selection": ["a", "b"],
+                "theta0": {"e": 0.0, "sigma": 2.0},
+            }
         )
-        assert config_from_dict(config_to_dict(config)) == config
-        assert list(config_to_dict(config)) == ["alpha", "populations", "group_selection", "theta0"]
+        assert config == RunConfig(
+            alpha=0.01, group_selection=("a", "b"), theta0_override=NormalUncertain(0.0, 2.0)
+        )
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "alpha", "group_selection", "theta0_override"
+        ]
+        assert list(declared.items()) == [("b", (2.0, None)), ("a", (1.0, None)), ("c", (None, None))]
+        assert type(declared["b"][0]) is float
 
     def test_defaults(self):
-        config = config_from_dict({})
+        config = read_settings({})
         assert config == RunConfig()
         assert config.alpha == 0.05
 
     def test_unknown_key(self):
         with pytest.raises(ConfigurationError):
-            config_from_dict({"alhpa": 0.05})
+            read_settings({"alhpa": 0.05})
 
     def test_unknown_population_key(self):
         with pytest.raises(ConfigurationError):
-            config_from_dict({"populations": [{"id": "1", "sigma": 2.0}]})
+            read_settings({"populations": [{"id": "1", "sigma": 2.0}]})
 
     def test_duplicate_population_ids(self):
         with pytest.raises(ConfigurationError):
-            config_from_dict({"populations": [{"id": "1"}, {"id": "1"}]})
+            read_settings({"populations": [{"id": "1"}, {"id": "1"}]})
 
     def test_duplicate_ids_are_listed_in_one_pass(self):
         ids = [str(k) for k in range(100_000)] + ["7", "99999", "7", "123"]
         with pytest.raises(ConfigurationError) as raised:
-            RunConfig(populations=tuple(PopulationConfig(i) for i in ids))
+            read_settings({"populations": [{"id": i} for i in ids]})
         assert str(raised.value) == "duplicate population ids in config: ['123', '7', '99999']"
 
     # The parameter case and the pooled test's target follow from the pins.
@@ -90,52 +108,55 @@ class TestConfig:
     @pytest.mark.parametrize("value", ["auto", "means-unknown", "sideways"])
     def test_case_settings_are_unknown_keys(self, key, value):
         with pytest.raises(ConfigurationError, match=rf"unknown config keys: \['{key}'\]"):
-            config_from_dict({key: value})
+            read_settings({key: value})
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigurationError):
-            config_from_dict({"alpha": 1.5})
+            read_settings({"alpha": 1.5})
 
     @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1" + "0" * 400])
     def test_non_finite_pinned_parameter(self, text):
         document = '{"populations": [{"id": "1", "known_e": %s}]}' % text
         with pytest.raises(ConfigurationError):
-            config_from_dict(json.loads(document))
+            read_settings(json.loads(document))
 
-    # A library caller's pins follow the rule PopulationSample applies.
+    # A config's pins are numbers, and a pinned scale is above 0, as on a
+    # PopulationSample; the error names the pin, and the population when
+    # the number itself is valid.
     @pytest.mark.parametrize(
         "name, pin, message",
         [
+            ("known_e", True, "known_e must be a number, got True"),
+            ("known_e", "3", "known_e must be a number, got '3'"),
+            ("known_sigma", "2", "known_sigma must be a number, got '2'"),
             ("known_e", math.nan, "known_e must be finite, got nan"),
-            ("known_e", math.inf, "known_e must be finite, got inf"),
-            ("known_e", 10**400, "known_e must be finite, got inf"),
-            ("known_e", True, "known_e must be int or float, got bool True"),
-            ("known_e", "3", "known_e must be int or float, got str '3'"),
-            ("known_sigma", "2", "known_sigma must be int or float, got str '2'"),
             ("known_sigma", -math.inf, "known_sigma must be finite, got -inf"),
-            ("known_sigma", 0, "known scale must be > 0, got 0.0"),
-            ("known_sigma", -1.5, "known scale must be > 0, got -1.5"),
+            ("known_e", 10**400, f"known_e must be finite, got {10**400!r}"),
+            ("known_sigma", 0, "population 'a': known scale must be > 0, got 0.0"),
+            ("known_sigma", -1.5, "population 'a': known scale must be > 0, got -1.5"),
         ],
     )
-    def test_population_config_checks_its_pins(self, name, pin, message):
+    def test_config_checks_its_pins(self, name, pin, message):
         with pytest.raises(ConfigurationError) as raised:
-            PopulationConfig("a", **{name: pin})
-        assert str(raised.value) == f"population 'a': {message}"
-        assert PopulationConfig("a", **{name: 3}) == PopulationConfig("a", **{name: 3.0})
-        assert type(getattr(PopulationConfig("a", **{name: 3}), name)) is float
+            _read_config({"populations": [{"id": "a", name: pin}]})
+        assert str(raised.value) == message
+
+    def test_empty_population_id(self):
+        with pytest.raises(ConfigurationError, match="^population id must be non-empty$"):
+            _read_config({"populations": [{"id": "", "known_e": 1.0}]})
 
     def test_integer_too_long_to_read(self, tmp_path):
         # Past Python's limit on converting digit strings to int, json raises
         # ValueError; versions without the limit read the number as infinite.
         path = write(tmp_path, "c.json", '{"alpha": %s}' % ("1" * 5000))
         with pytest.raises(ConfigurationError):
-            u.load_config(path)
+            _load_config(path)
 
     def test_bad_theta0(self):
         with pytest.raises(ConfigurationError):
-            config_from_dict({"theta0": {"e": 0.0}})
+            read_settings({"theta0": {"e": 0.0}})
         with pytest.raises(ConfigurationError):
-            config_from_dict({"theta0": {"e": 0.0, "sigma": -1.0}})
+            read_settings({"theta0": {"e": 0.0, "sigma": -1.0}})
 
 
 def reference_ingest(data_path):
@@ -544,36 +565,36 @@ class TestRunPipeline:
         report = u.run_pipeline(samples, config)
         assert report.common.theta0 == override
 
-    def test_pin_contradicting_the_config_is_an_error(self, example1):
+    # The pins are on the samples only: ingest gives each sample the pins
+    # its config file declares, and the config it returns holds settings.
+    def test_ingest_pins_the_samples(self, example1):
         samples, config = example1
-        from dataclasses import replace
+        assert [(s.id, s.known_e, s.known_sigma) for s in samples] == [
+            ("1", 4.5, None), ("2", 5.0, None), ("3", 5.5, None)
+        ]
+        assert config == RunConfig(alpha=0.05)
 
-        assert config.populations[0] == PopulationConfig("1", known_e=4.5)
-        samples = [replace(samples[0], known_e=14.5)] + samples[1:]
-        message = r"population '1': its sample pins .*14\.5.*the config pins .*4\.5"
-        with pytest.raises(ConfigurationError, match=message):
-            u.run_pipeline(samples, config)
-
-    def test_config_population_without_data_is_an_error(self, toothmarks):
-        samples, config = toothmarks
-        from dataclasses import replace
-
-        config = replace(config, populations=(PopulationConfig("ghost", known_e=1.0),))
+    def test_config_population_without_data_is_an_error(self, tmp_path):
+        data = write(tmp_path, "d.csv", "population,value\na,1\na,2\n")
+        config = write(tmp_path, "c.json", '{"populations": [{"id": "ghost", "known_e": 1.0}]}')
         with pytest.raises(ConfigurationError, match=r"absent from data: \['ghost'\]"):
-            u.run_pipeline(samples, config)
+            u.ingest(data, config)
 
-    def test_report_config_lists_the_pinning_populations_in_sample_order(self):
+    def test_document_lists_the_pinning_populations_in_sample_order(self):
         samples = [
             PopulationSample("b", (1.0, 2.0, 4.0), known_sigma=1.0),
             PopulationSample("a", (1.5, 2.5, 3.0), known_sigma=2.0),
         ]
-        declared = RunConfig(populations=(PopulationConfig("a", known_sigma=2.0),))
-        report = u.run_pipeline(samples, declared, mode="fit")
-        pinned = (PopulationConfig("b", known_sigma=1.0), PopulationConfig("a", known_sigma=2.0))
-        assert report.config == RunConfig(populations=pinned)
+        report = u.run_pipeline(samples, RunConfig(), mode="fit")
+        assert report.config == RunConfig()
+        obj = json.loads(u.emit_report(report, "structured"))
+        assert obj["config"]["populations"] == [
+            {"id": "b", "known_e": None, "known_sigma": 1.0},
+            {"id": "a", "known_e": None, "known_sigma": 2.0},
+        ]
         unpinned = [PopulationSample(s.id, s.values) for s in samples]
-        listed = RunConfig(populations=(PopulationConfig("a"), PopulationConfig("b")))
-        assert u.run_pipeline(unpinned, listed, mode="fit").config == RunConfig()
+        obj = json.loads(u.emit_report(u.run_pipeline(unpinned, RunConfig(), mode="fit"), "structured"))
+        assert obj["config"]["populations"] == []
 
     def test_each_population_is_fitted_once(self, toothmarks, monkeypatch):
         calls = []
@@ -1090,13 +1111,6 @@ class TestReportSerialisation:
     def test_unknown_format(self, toothmarks_report):
         with pytest.raises(ValueError):
             u.emit_report(toothmarks_report, "yaml")
-
-    def test_exported_data_re_ingests_identically(self, toothmarks, tmp_path):
-        samples, _ = toothmarks
-        report = u.run_pipeline(samples, RunConfig(), mode="fit")
-        path = write(tmp_path, "echo.csv", u.export_data(report))
-        again, _ = u.ingest(path)
-        assert again == samples
 
 
 class TestTextReport:

@@ -109,6 +109,18 @@ class TestMerge:
         with pytest.raises(NumericError, match="population 'b'"):
             merge_group(group)
 
+    # The second population overflows only at its third value, so a check of
+    # the first rescaled value alone would let an inf reach the pooled fit.
+    @pytest.mark.parametrize("pool", [merge_group, lambda group: common_test(group, 0.05)])
+    def test_rescale_overflow_at_a_later_value_names_the_population(self, pool):
+        samples = [
+            PopulationSample("ok", (-1.0, 1.0), known_sigma=1.0),
+            PopulationSample("a", (1.0, 2.0, 1e308, -1e308), known_sigma=1e-10),
+        ]
+        group = [(s, fit_moments(s.values, known_sigma=s.known_sigma)) for s in samples]
+        with pytest.raises(NumericError, match="population 'a'"):
+            pool(group)
+
     def test_finite_values_whose_sum_overflows_are_merged(self):
         values = (1e308, 1.5e308, -1e308)
         sample = PopulationSample("a", values, known_sigma=1.0)

@@ -246,6 +246,8 @@ class TestRejectionThreshold:
         # product must still yield the least integer strictly above 29.
         assert 0.29 * 100 < 29.0
         assert rejection_threshold(100, 0.29) == 30
+        # 3 * 0.3333333 is 1e-7 below 1, outside the snap: the threshold stays 1.
+        assert rejection_threshold(3, 0.3333333) == 1
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from uncstat import (
     NumericError,
     cdf,
     fit_moments,
-    nonembedded_check,
     quantile,
     std_quantile,
 )
@@ -195,25 +194,3 @@ class TestFitMoments:
             return
         assert scaled.e == pytest.approx(base.e * factor, rel=1e-9, abs=1e-9)
         assert scaled.sigma == pytest.approx(base.sigma * factor, rel=1e-9)
-
-
-class TestNonembeddedCheck:
-    def test_detects_scale_difference(self):
-        inv_null = lambda a: quantile(NormalUncertain(0.0, 1.0), a)
-        inv_alt = lambda a: quantile(NormalUncertain(0.0, 2.0), a)
-        assert nonembedded_check(inv_null, inv_alt, 0.05, grid_size=100)
-
-    def test_detects_location_shift_on_coarse_grid(self):
-        inv_null = lambda a: quantile(NormalUncertain(1.0, 1.0), a)
-        inv_alt = lambda a: quantile(NormalUncertain(0.0, 1.0), a)
-        assert nonembedded_check(inv_null, inv_alt, 0.05, grid_size=10)
-
-    def test_identical_distributions_have_no_witness(self):
-        inv = lambda a: quantile(NormalUncertain(0.0, 1.0), a)
-        assert not nonembedded_check(inv, inv, 0.05)
-        assert not nonembedded_check(inv, inv, 0.2)
-
-    def test_rejects_tiny_grid(self):
-        inv = lambda a: a
-        with pytest.raises(ValueError):
-            nonembedded_check(inv, inv, 0.05, grid_size=1)
