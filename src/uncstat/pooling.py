@@ -12,14 +12,15 @@ data of populations that pin nothing is merged raw and pools both.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import operator
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, chain
 
 from .errors import NumericError
 from .multi import CASE_PINS, FittedGroup, resolve_case
-from .testing import TestDecision, single_test
+from .testing import AcceptanceInterval, PopulationSample, TestDecision, acceptance_interval
 from .udist import NormalUncertain, check_level, fit_moments
 
 __all__ = [
@@ -41,9 +42,13 @@ _DRIFT_TOL = 1e-9
 class MergedSample:
     """Pooled data with provenance: ``parts`` holds each contributing
     population's id and size in merge order, so merged position ``k`` maps
-    back to (population id, original index) without a record per point."""
+    back to (population id, original index) without a record per point.
 
-    values: tuple[float, ...]
+    ``values`` is a tuple from :func:`merge` and :func:`merge_group`; a
+    pooled test's is a read-only sequence, made when it is read, that equals
+    that tuple."""
+
+    values: Sequence[float]
     parts: tuple[tuple[str, int], ...]
     _ends: list[int] = field(init=False, repr=False, compare=False)
 
@@ -123,20 +128,48 @@ def merge_group(group: FittedGroup) -> MergedSample:
     the pins are no one case's, and :class:`~uncstat.errors.NumericError`,
     naming the population, when rescaling to unit scale takes a value out of
     double precision."""
-    return _merge(group)[0]
+    pooled = _PooledValues(group)
+    return MergedSample(tuple(pooled), pooled.parts)
 
 
-def _merge(group: FittedGroup) -> tuple[MergedSample, bool, bool]:
-    """:func:`merge_group`, and whether the group pins locations and scales."""
-    if not group:
-        raise ValueError("cannot pool an empty group")
-    if len({s.id for s, _ in group}) != len(group):
-        raise ValueError("population ids must be unique")
-    located, scaled = CASE_PINS[resolve_case([s for s, _ in group])]
-    parts = []
-    for s, f in group:
-        values = s.values
-        if scaled:
+_Map = Callable[[float], float]
+
+
+class _PooledValues(Sequence):
+    """The values of a group pooled as its pins decide (see
+    :func:`common_test`), in group order, each part adjusted when it is read.
+
+    It keeps no adjusted value: iterating makes one part at a time, with
+    :func:`unify_scale` and :func:`unify_location`, and an index makes one
+    value.  Every read of a rescaled part checks it for overflow.  It equals,
+    and hashes like, the tuple of its values, and it pickles and copies as
+    that tuple.
+
+    Raises ValueError for an empty group or a repeated id, and
+    :class:`~uncstat.errors.ConfigurationError` when the pins are no one
+    case's.
+    """
+
+    __slots__ = ("_group", "_ends", "located", "scaled")
+
+    def __init__(self, group: FittedGroup) -> None:
+        if not group:
+            raise ValueError("cannot pool an empty group")
+        if len({s.id for s, _ in group}) != len(group):
+            raise ValueError("population ids must be unique")
+        self.located, self.scaled = CASE_PINS[resolve_case([s for s, _ in group])]
+        self._group = tuple(group)
+        self._ends = list(accumulate(s.size for s, _ in self._group))
+
+    @property
+    def parts(self) -> tuple[tuple[str, int], ...]:
+        return tuple((s.id, s.size) for s, _ in self._group)
+
+    def _adjusted(
+        self, s: PopulationSample, f: NormalUncertain, values: Sequence[float]
+    ) -> Sequence[float]:
+        """``values`` of ``s``, fitted by ``f``, as the pool holds them."""
+        if self.scaled:
             values = unify_scale(values, f.e, f.sigma)
             # The sum of finite values is finite unless it overflows on its
             # own; only then is each value looked at.
@@ -145,10 +178,95 @@ def _merge(group: FittedGroup) -> tuple[MergedSample, bool, bool]:
                     f"population {s.id!r}: its values rescaled to unit scale "
                     f"(sigma={f.sigma!r}) overflow double precision"
                 )
-        if located:
+        if self.located:
             values = unify_location(values, f.e)
-        parts.append((s.id, values))
-    return merge(parts), located, scaled
+        return values
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, index: int | slice) -> float | tuple[float, ...]:
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        t = operator.index(index)
+        t = t + len(self) if t < 0 else t
+        if not 0 <= t < len(self):
+            raise IndexError("merged index out of range")
+        part = bisect_right(self._ends, t)
+        s, f = self._group[part]
+        return self._adjusted(s, f, (s.values[t - (self._ends[part - 1] if part else 0)],))[0]
+
+    def __iter__(self) -> Iterator[float]:
+        return chain.from_iterable(self._adjusted(s, f, s.values) for s, f in self._group)
+
+    def outliers(self, interval: AcceptanceInterval) -> tuple[int, ...]:
+        """1-based positions of the values strictly outside ``interval``,
+        ascending, as :func:`~uncstat.testing.count_outliers` finds them, but
+        read from each part's raw values.
+
+        Each part's adjustment is monotone non-decreasing in floating point,
+        so every raw value between two raw ends that it maps into the band
+        is inside too; only the values outside those ends are adjusted.
+        """
+        lower, upper = interval.lower, interval.upper
+        found: list[int] = []
+        for start, (s, f) in zip(chain((0,), self._ends), self._group):
+            adjust, inverse = self._maps(f)
+            a, b = _raw_band(adjust, inverse, lower, upper)
+            found += [
+                p
+                for p, v in enumerate(s.values, start + 1)
+                if (v < a or v > b) and ((z := adjust(v)) < lower or z > upper)
+            ]
+        return tuple(found)
+
+    def _maps(self, f: NormalUncertain) -> tuple[_Map, _Map]:
+        """One value's adjustment with fit ``f``, as :meth:`_adjusted` makes
+        it, and an approximate inverse of it."""
+        c, sd = f.e, f.sigma
+        if self.scaled:
+            return (lambda v: (v - c) / sd + c), (lambda z: (z - c) * sd + c)
+        if self.located:
+            return (lambda v: v - c), (lambda z: z + c)
+        return (lambda v: v), (lambda z: z)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _PooledValues)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self) -> tuple:
+        return tuple, (tuple(self),)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+# The raw ends of a part's band move at most this many doubles inward from
+# the inverse images of the band's ends.
+_END_STEPS = 4
+
+
+def _raw_band(adjust: _Map, inverse: _Map, lower: float, upper: float) -> tuple[float, float]:
+    """Raw ends ``[a, b]`` that the monotone ``adjust`` maps into ``[lower,
+    upper]``, found from the inverse images of the ends; ``(inf, -inf)``,
+    which holds no value, when an end is not finite, the ends cross or the
+    steps run out."""
+    a, b = inverse(lower), inverse(upper)
+    for _ in range(_END_STEPS + 1):
+        if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+            break
+        below, above = adjust(a) < lower, adjust(b) > upper
+        if not (below or above):
+            return a, b
+        if below:
+            a = math.nextafter(a, math.inf)
+        if above:
+            b = math.nextafter(b, -math.inf)
+    return math.inf, -math.inf
 
 
 def common_test(
@@ -173,11 +291,12 @@ def common_test(
     instead of the merged estimate.
     """
     check_level(alpha)
-    merged, located, scaled = _merge(group)
-    fitted = fit_moments(merged.values, 0.0 if located else None, 1.0 if scaled else None)
+    pooled = _PooledValues(group)
+    # One pass, which raises the overflow of the first part that overflows.
+    fitted = fit_moments(pooled, 0.0 if pooled.located else None, 1.0 if pooled.scaled else None)
     diagnostics = []
-    if located:
-        drift = math.fsum(merged.values) / merged.n
+    if pooled.located:
+        drift = math.fsum(pooled) / len(pooled)
         if abs(drift) > _DRIFT_TOL * fitted.sigma:
             diagnostics.append(
                 f"merged location drifts from 0 by {drift:.6g}; the scale "
@@ -185,12 +304,10 @@ def common_test(
             )
 
     reference = theta0 if theta0 is not None else fitted
-    # The merged values are counted as they are: each population's values
-    # were checked when it was built, and a value the adjustment takes out of
-    # double precision fails merge_group or the fit above.
+    interval = acceptance_interval(reference, alpha)
     return CommonTestResult(
         theta0=reference,
-        decision=single_test(merged, reference, alpha),
-        merged=merged,
+        decision=TestDecision(interval, pooled.outliers(interval), len(pooled)),
+        merged=MergedSample(pooled, pooled.parts),
         diagnostics=tuple(diagnostics),
     )

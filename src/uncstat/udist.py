@@ -96,10 +96,16 @@ def quantile(d: NormalUncertain, alpha: float) -> float:
 
 
 def _mean(terms: Iterable[float], m: int) -> float:
-    """``fsum(terms) / m``, or :class:`NumericError` if it leaves the double range."""
+    """``fsum(terms) / m``, or :class:`NumericError` if it leaves the double range.
+
+    ``terms`` is read to its end even when the sum overflows first, so an
+    error that reading it raises comes before this one."""
+    terms = iter(terms)
     try:
         mean = math.fsum(terms) / m
     except OverflowError:
+        for _ in terms:
+            pass
         mean = math.inf
     if not math.isfinite(mean):
         raise NumericError("the sample's moments overflow double precision; rescale the data")
@@ -133,9 +139,11 @@ def fit_moments(
         if not sigma > 0.0:
             raise ValueError(f"known scale must be > 0, got {known_sigma!r}")
     else:
-        sigma = math.sqrt(_mean(((v - e) ** 2 for v in values), m))
+        # d * d, not d ** 2: libm's pow does not always round a square correctly.
+        sigma = math.sqrt(_mean(((v - e) * (v - e) for v in values), m))
+        first = values[0]
         # The mean of equal values can round away from them, leaving a spread of ulps.
-        if sigma == 0.0 or (known_e is None and all(v == values[0] for v in values)):
+        if sigma == 0.0 or (known_e is None and all(v == first for v in values)):
             raise DegenerateSampleError(
                 "sample has zero spread about its location; supply a scale "
                 "or provide data with at least two distinct values"

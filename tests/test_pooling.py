@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from uncstat import (
     unify_location,
     unify_scale,
 )
-from uncstat.pooling import merge_group
+from uncstat.pooling import _PooledValues, _raw_band, merge_group
 from test_multi import PIN_PATTERNS
 
 
@@ -121,6 +123,19 @@ class TestMerge:
         with pytest.raises(NumericError, match="population 'a'"):
             pool(group)
 
+    # The first part's sum overflows in the pooled fit before the second
+    # part is read; the second part's overflow is still the error raised.
+    def test_rescale_overflow_comes_before_an_overflowing_sum(self):
+        group = [(PopulationSample("big", (1e308, 1e308, -1.0), known_sigma=1.0),
+                  NormalUncertain(0.0, 1.0)),
+                 (PopulationSample("a", (1.0, 1e308), known_sigma=1e-10),
+                  NormalUncertain(0.0, 1e-10))]
+        for pool in (merge_group, lambda group: common_test(group, 0.05)):
+            with pytest.raises(NumericError, match="population 'a'"):
+                pool(group)
+        with pytest.raises(NumericError, match="moments overflow"):
+            common_test(group[:1], 0.05)
+
     def test_finite_values_whose_sum_overflows_are_merged(self):
         values = (1e308, 1.5e308, -1e308)
         sample = PopulationSample("a", values, known_sigma=1.0)
@@ -158,6 +173,33 @@ class TestMergedSample:
     def test_rejects_malformed_parts(self, values, parts):
         with pytest.raises(ValueError):
             MergedSample(values, parts)
+
+
+class TestPooledValues:
+    @pytest.mark.parametrize("study", ["example1", "example2", "toothmarks"])
+    def test_behaves_as_the_tuple_of_its_values(self, request, study):
+        report = request.getfixturevalue(f"{study}_report")
+        view = report.common.merged.values
+        assert isinstance(view, _PooledValues)
+        group = [(report.population(pid).sample, report.population(pid).fit)
+                 for pid in report.selected_group]
+        values = merge_group(group).values
+        assert type(values) is tuple and values == tuple(view)
+        assert view == values and values == view
+        assert view == common_test(group, report.alpha).merged.values
+        assert view != values[:-1] and view != values[:-1] + (values[-1] + 1.0,)
+        assert hash(view) == hash(values)
+        assert repr(view) == str(view) == repr(values)
+        for clone in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
+            assert type(clone) is tuple and clone == values
+        assert len(view) == len(values)
+        for k in range(-len(values), len(values)):
+            assert view[k] == values[k]
+        for outside in (len(values), -len(values) - 1):
+            with pytest.raises(IndexError):
+                view[outside]
+        assert view[1:-1:2] == values[1:-1:2]
+        assert pickle.loads(pickle.dumps(report.common)) == report.common
 
 
 class TestCommonTest:
@@ -292,6 +334,80 @@ class TestCommonTest:
                                       **data.draw(case_pins(case)))
             group.append((sample, fit_moments(sample.values, sample.known_e, sample.known_sigma)))
         assert common_test(group, alpha, theta0) == reference_common_test(group, alpha, theta0)
+
+    @given(data=st.data(), case=st.sampled_from(list(ParameterCase)),
+           alpha=st.sampled_from([0.05, 0.1, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_values_at_the_band_ends_as_the_definition(self, data, case, alpha):
+        # Each part is drawn about its own location and scale, then given
+        # values at the raw images of the pooled band's ends and at the
+        # doubles next to them.  The fits are the caller's, so they stay
+        # fixed while values are added.
+        scales = st.floats(-12, 12).map(lambda x: 10.0 ** x)
+        locations = st.sampled_from([0.0, 1.0, -1e3]) | st.floats(-1e15, 1e15)
+        parts = []
+        for k in range(data.draw(st.integers(1, 3))):
+            loc, scale = data.draw(locations), data.draw(scales)
+            ints = data.draw(st.lists(st.integers(-24, 24), min_size=2, max_size=8, unique=True))
+            pins = {ParameterCase.MEANS_UNKNOWN: {"known_sigma": scale},
+                    ParameterCase.SIGMAS_UNKNOWN: {"known_e": loc},
+                    ParameterCase.BOTH_UNKNOWN: {}}[case]
+            fit = NormalUncertain(loc + scale * data.draw(st.integers(-4, 4)) / 8, scale)
+            parts.append((f"p{k}", [loc + scale * x / 4 for x in ints], pins, fit))
+
+        def group():
+            return [(PopulationSample(pid, tuple(values), **pins), fit)
+                    for pid, values, pins, fit in parts]
+
+        base = outcome(reference_common_test, group(), alpha)
+        references = [None]
+        if isinstance(base, CommonTestResult):
+            references.append(base.theta0)  # the band whose raw images are drawn
+            band = base.decision.interval
+            for _, values, _, fit in parts:
+                for end in (band.lower, band.upper):
+                    z = raw_image(case, fit, end)
+                    near = [z]
+                    for _ in range(2):
+                        near = [math.nextafter(near[0], -math.inf), *near,
+                                math.nextafter(near[-1], math.inf)]
+                    values += [v for v in near if math.isfinite(v)]
+                values[:] = data.draw(st.permutations(values))
+        for theta0 in references:
+            assert outcome(common_test, group(), alpha, theta0) == outcome(
+                reference_common_test, group(), alpha, theta0
+            )
+
+    # A part rescaled by 1e308 has an end whose raw image is not finite, so
+    # every one of its values is adjusted and checked.
+    def test_a_part_without_raw_ends_is_checked_value_by_value(self):
+        wide = PopulationSample("w", (-1e308, 1e308, 0.5e308), known_sigma=1e308)
+        narrow = PopulationSample("n", (1.0, 3.0, 6.5, 2.0), known_sigma=1.0)
+        group = [(wide, NormalUncertain(0.0, 1e308)), (narrow, NormalUncertain(3.0, 1.0))]
+        theta0 = NormalUncertain(3.0, 1.0)
+        result = common_test(group, 0.05, theta0)
+        band = result.decision.interval
+        adjust, inverse = _PooledValues(group)._maps(group[0][1])
+        assert _raw_band(adjust, inverse, band.lower, band.upper) == (math.inf, -math.inf)
+        assert result.decision.outlier_indices == (1, 3, 6)
+        assert result == reference_common_test(group, 0.05, theta0)
+
+
+def raw_image(case, fit, z):
+    """The raw value a part fitted by ``fit`` would pool as ``z``, before rounding."""
+    if case is ParameterCase.MEANS_UNKNOWN:
+        return (z - fit.e) * fit.sigma + fit.e
+    if case is ParameterCase.SIGMAS_UNKNOWN:
+        return z + fit.e
+    return z
+
+
+def outcome(test, *args):
+    """The test's result, or the type and text of the NumericError it raises."""
+    try:
+        return test(*args)
+    except NumericError as exc:
+        return type(exc), str(exc)
 
 
 def case_pins(case):
